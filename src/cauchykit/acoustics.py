@@ -10,9 +10,12 @@ drive everything in this module: the velocity of a pure longitudinal wave and
 the polarization of an isolated pure shear wave depend on the Cauchy part
 only.
 
-Per-direction computations are pure and independent; sphere scans may be
-evaluated on any partition of the direction set and merged, with output
-ordered by lattice index.
+:func:`christoffel` and :func:`wave_solve` take one direction ``(3,)`` or a
+whole direction array ``(N, 3)``.  A batch splits the stiffness tensor once,
+contracts it with every direction in one matrix product and solves all ``N``
+eigenproblems in one stacked LAPACK call; row ``i`` of a batched result
+depends on ``n[i]`` alone.  The single-direction form is the batch of one
+with the leading axis dropped.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from scipy.spatial import cKDTree
 
 from .decomp import IrreducibleParts, sa_split
 from .tensor_core import (
+    EIGEN_PAIRS,
+    degenerate_mask,
     degenerate_pairs,
     eig_sym3,
     frobenius_norm2,
@@ -38,6 +43,7 @@ __all__ = [
     "PureModeHit",
     "PureModeScan",
     "CriticalDirections",
+    "check_density",
     "christoffel",
     "wave_solve",
     "sum_squared_velocities",
@@ -59,10 +65,12 @@ _DEDUP_ANGLE = math.radians(0.5)
 
 @dataclass(frozen=True)
 class ChristoffelBundle:
-    """Christoffel tensor and its Cauchy/non-Cauchy split for one direction.
+    """Christoffel tensor and its Cauchy/non-Cauchy split.
 
-    ``gamma = cauchy + non_cauchy`` exactly; ``non_cauchy @ direction = 0``
-    and ``det(non_cauchy) = 0`` up to rounding.
+    For one direction the tensors have shape ``(3, 3)`` and ``direction``
+    shape ``(3,)``; for a direction array every field gains a leading axis
+    ``N``.  ``gamma = cauchy + non_cauchy`` exactly; ``non_cauchy @ direction
+    = 0`` and ``det(non_cauchy) = 0`` up to rounding.
     """
 
     gamma: np.ndarray
@@ -74,13 +82,20 @@ class ChristoffelBundle:
 
 @dataclass(frozen=True)
 class WaveSolution:
-    """Eigen solution of one Christoffel tensor.
+    """Eigen solution of one Christoffel tensor, or of a stack of them.
 
     ``eigenvalues`` are squared velocities sorted descending;
     ``velocities[k]`` is ``sqrt(eigenvalues[k])`` or NaN for a non-causal
     (non-positive) mode, which is reported rather than dropped.
     ``polarizations[:, k]`` is the unit polarization of mode ``k`` and
-    ``longitudinal_purity[k] = |U_k . n|``.
+    ``longitudinal_purity[k] = |U_k . n|``.  ``degenerate_pairs`` lists the
+    coinciding eigenvalue index pairs and ``causal`` is True when every mode
+    is causal.
+
+    A batched solution stacks every array field along a leading axis ``N``;
+    there ``causal`` is a boolean array ``(N,)`` and ``degenerate_pairs`` a
+    boolean mask ``(N, 3)`` over the pairs ``EIGEN_PAIRS = (0, 1), (0, 2),
+    (1, 2)``.
     """
 
     eigenvalues: np.ndarray
@@ -93,7 +108,11 @@ class WaveSolution:
 
 @dataclass(frozen=True)
 class PureModeHit:
-    """A direction supporting an exactly or nearly pure wave."""
+    """A direction supporting an exactly or nearly pure wave.
+
+    ``velocity`` is ``sqrt(s:nnnn / rho)``, or NaN where ``s:nnnn <= 0`` (a
+    non-causal longitudinal mode).
+    """
 
     direction: np.ndarray
     kind: str
@@ -126,40 +145,57 @@ class CriticalDirections:
     fully_degenerate: bool
 
 
+def check_density(rho) -> float:
+    """Return ``rho`` as a float, or raise ``ValueError`` unless it is finite
+    and positive."""
+    rho = float(rho)
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"density must be finite and positive, got {rho}")
+    return rho
+
+
 def christoffel(c: np.ndarray, n, rho: float) -> ChristoffelBundle:
     """Build the Christoffel tensor and its Cauchy/non-Cauchy split.
 
-    ``rho`` must be positive; ``n`` must be a unit vector.  With stiffness in
-    GPa and density in g/cm^3, eigenvalues come out in (km/s)^2.
+    ``n`` is one unit direction ``(3,)`` or an array of them ``(N, 3)``; every
+    row must have unit norm within 1e-12.  ``rho`` must be finite and
+    positive.  With stiffness in GPa and density in g/cm^3, eigenvalues come
+    out in (km/s)^2.
     """
-    if rho <= 0:
-        raise ValueError(f"density must be positive, got {rho}")
+    rho = check_density(rho)
     n = unit_vector(n)
     parts = sa_split(np.asarray(c, dtype=float))
-    cauchy = np.einsum("ijkl,j,k->il", parts.s, n, n) / rho
-    non_cauchy = np.einsum("ijkl,j,k->il", parts.a, n, n) / rho
+    # one BLAS product contracts c[i,j,k,l] with n[j] n[k] for every direction
+    nn = np.einsum("...j,...k->...jk", n, n)
+    cauchy = np.tensordot(nn, parts.s, axes=([-2, -1], [1, 2])) / rho
+    non_cauchy = np.tensordot(nn, parts.a, axes=([-2, -1], [1, 2])) / rho
     return ChristoffelBundle(
         gamma=cauchy + non_cauchy,
         cauchy=cauchy,
         non_cauchy=non_cauchy,
         direction=n,
-        density=float(rho),
+        density=rho,
     )
 
 
 def wave_solve(bundle: ChristoffelBundle) -> WaveSolution:
-    """Phase velocities and polarizations for one propagation direction."""
+    """Phase velocities and polarizations for one direction or a batch."""
     values, vectors = eig_sym3(bundle.gamma)
     velocities = np.where(values > 0, np.sqrt(np.maximum(values, 0.0)), np.nan)
-    purity = np.abs(vectors.T @ bundle.direction)
-    scale = frobenius_norm2(bundle.gamma)
+    purity = np.abs(np.einsum("...ik,...i->...k", vectors, bundle.direction))
+    scale = np.linalg.norm(bundle.gamma, axis=(-2, -1))
+    degenerate = degenerate_mask(values, scale, DEGENERACY_TOL)
+    causal = np.all(values > 0, axis=-1)
+    if values.ndim == 1:
+        degenerate = tuple(p for p, hit in zip(EIGEN_PAIRS, degenerate) if hit)
+        causal = bool(causal)
     return WaveSolution(
         eigenvalues=values,
         velocities=velocities,
         polarizations=vectors,
-        degenerate_pairs=tuple(degenerate_pairs(values, scale, DEGENERACY_TOL)),
+        degenerate_pairs=degenerate,
         longitudinal_purity=purity,
-        causal=bool(np.all(values > 0)),
+        causal=causal,
     )
 
 
@@ -168,15 +204,16 @@ def sum_squared_velocities(parts: IrreducibleParts, n, rho: float) -> float:
 
     ``(2S - A) / (6 rho) + (2P + Q) : nn / (2 rho)``; equals the trace of the
     Christoffel tensor and hence the eigenvalue sum.  Independent of ``n``
-    whenever ``2P + Q = 0`` (isotropic and cubic materials).
+    whenever ``2P + Q = 0`` (isotropic and cubic materials).  For a
+    direction array ``(N, 3)`` the result is an array ``(N,)``.
     """
-    if rho <= 0:
-        raise ValueError(f"density must be positive, got {rho}")
+    rho = check_density(rho)
     n = unit_vector(n)
     l_matrix = 2.0 * parts.dev_p + parts.dev_q
-    return (2.0 * parts.scalar_s - parts.scalar_a) / (6.0 * rho) + float(
-        n @ l_matrix @ n
+    total = (2.0 * parts.scalar_s - parts.scalar_a) / (6.0 * rho) + np.einsum(
+        "...i,ij,...j->...", n, l_matrix, n
     ) / (2.0 * rho)
+    return float(total) if n.ndim == 1 else total
 
 
 def critical_directions(parts: IrreducibleParts) -> CriticalDirections:
@@ -217,15 +254,15 @@ def pure_longitudinal_residual(bundle: ChristoffelBundle) -> float:
 
     ``r(n) = || cauchy . n - (n . cauchy . n) n || / ||cauchy||``; zero exactly
     when ``n`` is an eigenvector of the Cauchy Christoffel tensor, which is the
-    condition for one pure longitudinal plus two pure shear waves.
+    condition for one pure longitudinal plus two pure shear waves.  A
+    batched bundle gives an array ``(N,)``.
     """
     n = bundle.direction
-    sn = bundle.cauchy @ n
-    residual = sn - float(n @ sn) * n
-    scale = frobenius_norm2(bundle.cauchy)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(residual)) / scale
+    sn = np.einsum("...il,...l->...i", bundle.cauchy, n)
+    residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
+    scale = np.linalg.norm(bundle.cauchy, axis=(-2, -1))
+    out = np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
+    return float(out) if n.ndim == 1 else out
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -290,8 +327,7 @@ def find_pure_longitudinal(
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
-    if rho <= 0:
-        raise ValueError(f"density must be positive, got {rho}")
+    rho = check_density(rho)
     c = np.asarray(c, dtype=float)
     s_part = sa_split(c).s
     seeds = fibonacci_sphere(grid_n)
@@ -324,9 +360,10 @@ def find_pure_longitudinal(
         if value > tol:
             continue
         direction = _canonical_direction(direction)
-        v_l = math.sqrt(max(0.0, float(np.einsum(
+        v_l2 = float(np.einsum(
             "ijkl,j,k,i,l->", s_part, direction, direction, direction, direction
-        ) / rho)))
+        ) / rho)
+        v_l = math.sqrt(v_l2) if v_l2 > 0 else math.nan
         hits.append(PureModeHit(
             direction=direction,
             kind="longitudinal",
@@ -433,8 +470,7 @@ def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:
     (8S - 5A)/30 variant implied by an S/15 longitudinal coefficient is ruled
     out.  On an acoustic axis each shear wave carries half this value.
     """
-    if rho <= 0:
-        raise ValueError(f"density must be positive, got {rho}")
+    rho = check_density(rho)
     n = unit_vector(n)
     quad = 2.0 * parts.dev_p + 7.0 * parts.dev_q
     r_nnnn = float(np.einsum("ijkl,i,j,k,l->", parts.harm_r, n, n, n, n))

@@ -13,6 +13,7 @@ import click
 import numpy as np
 
 from . import report as rp
+from .acoustics import check_density
 from .materials import MaterialError, MaterialRecord, load_material
 
 EXIT_VALIDATION = 2
@@ -163,8 +164,10 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
         rho = record.density.in_g_cm3()
     else:
         rho = density
-    if rho <= 0:
-        _fail(ctx, EXIT_VALIDATION, f"density must be positive, got {rho}")
+    try:
+        rho = check_density(rho)
+    except ValueError as exc:
+        _fail(ctx, EXIT_VALIDATION, str(exc))
     if scan_count is not None and scan_count < 100:
         _fail(ctx, EXIT_VALIDATION, "--scan must be at least 100")
     if csv_path and not scan_count:
@@ -174,8 +177,8 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
     for spec in direction_specs:
         v = _parse_floats(ctx, spec, 3, "--n")
         norm = float(np.linalg.norm(v))
-        if norm == 0:
-            _fail(ctx, EXIT_VALIDATION, "--n must be a nonzero vector")
+        if not (np.isfinite(norm) and norm > 0):
+            _fail(ctx, EXIT_VALIDATION, "--n must be a nonzero finite vector")
         directions.append(v / norm)
     if not directions and not scan_count and not pure_modes:
         _fail(ctx, EXIT_VALIDATION, "nothing to do: pass --n, --scan or --pure-modes")
@@ -204,9 +207,12 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
             click.echo(f"pure longitudinal directions: {len(pm['hits'])}")
             for h in pm["hits"]:
                 d = h["direction"]
+                v_l = h["velocity_km_s"]
+                flag = "" if v_l is not None else "  [non-causal]"
+                v_l = "nan" if v_l is None else f"{v_l:.6f}"
                 click.echo(f"  ({d[0]:+.6f}, {d[1]:+.6f}, {d[2]:+.6f})  "
-                           f"v_L = {h['velocity_km_s']:.6f} km/s  "
-                           f"residual {h['residual']:.2e}")
+                           f"v_L = {v_l} km/s  "
+                           f"residual {h['residual']:.2e}{flag}")
 
     if csv_path:
         try:

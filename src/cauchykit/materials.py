@@ -26,6 +26,7 @@ materials needs an explicit density.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -139,16 +140,16 @@ def _voigt_from_payload(payload, where: str) -> np.ndarray:
             for j in range(i, 6):
                 m[i, j] = m[j, i] = float(payload[k])
                 k += 1
-        return m
-    try:
-        m = np.array(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MaterialError(f"{where}: voigt entries must be numbers") from exc
-    _require(
-        m.shape == (6, 6),
-        f"{where}: expected a 6x6 matrix or 21 upper-triangle values, "
-        f"got shape {m.shape}",
-    )
+    else:
+        try:
+            m = np.array(payload, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise MaterialError(f"{where}: voigt entries must be numbers") from exc
+        _require(
+            m.shape == (6, 6),
+            f"{where}: expected a 6x6 matrix or 21 upper-triangle values, "
+            f"got shape {m.shape}",
+        )
     _require(bool(np.isfinite(m).all()), f"{where}: voigt entries must be finite")
     asym = np.abs(m - m.T)
     if asym.max() > 0:
@@ -253,8 +254,8 @@ def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> Ma
         value = d.get("value")
         _require(
             isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value > 0,
-            "density value must be a positive number",
+            and math.isfinite(value) and value > 0,
+            "density value must be a finite positive number",
         )
         unit = d.get("unit")
         _require(

@@ -19,7 +19,7 @@ from . import acoustics as ac
 from . import constitutive as co
 from . import decomp
 from .materials import MaterialRecord
-from .tensor_core import frobenius_norm4, full_to_voigt, voigt_to_full
+from .tensor_core import EIGEN_PAIRS, frobenius_norm4, full_to_voigt, voigt_to_full
 
 __all__ = [
     "decomposition_report",
@@ -164,27 +164,31 @@ def energy_report(record: MaterialRecord, eps: np.ndarray, tol: float = 1e-6) ->
     }
 
 
-def _direction_entry(c_gpa: np.ndarray, parts, n: np.ndarray, rho: float) -> dict:
-    bundle = ac.christoffel(c_gpa, n, rho)
+def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
+                       rho: float) -> list[dict]:
+    bundle = ac.christoffel(c_gpa, dirs, rho)
     wave = ac.wave_solve(bundle)
-    return {
-        "n": _vector(n),
-        # null marks a non-causal mode (JSON has no NaN)
-        "velocities_km_s": [
-            None if math.isnan(v) else _round_trip(v) for v in wave.velocities
-        ],
-        "squared_velocities": _vector(wave.eigenvalues),
-        "polarizations": _matrix(wave.polarizations.T),
-        "longitudinal_purity": _vector(wave.longitudinal_purity),
-        "degenerate_pairs": [list(p) for p in wave.degenerate_pairs],
-        "causal": wave.causal,
-        "sum_squared_formula": _round_trip(
-            ac.sum_squared_velocities(parts, n, rho)
-        ),
-        "pure_longitudinal_residual": _round_trip(
-            ac.pure_longitudinal_residual(bundle)
-        ),
-    }
+    sums = ac.sum_squared_velocities(parts, dirs, rho)
+    residuals = ac.pure_longitudinal_residual(bundle)
+    return [
+        {
+            "n": _vector(dirs[i]),
+            # null marks a non-causal mode (JSON has no NaN)
+            "velocities_km_s": [
+                None if math.isnan(v) else _round_trip(v) for v in wave.velocities[i]
+            ],
+            "squared_velocities": _vector(wave.eigenvalues[i]),
+            "polarizations": _matrix(wave.polarizations[i].T),
+            "longitudinal_purity": _vector(wave.longitudinal_purity[i]),
+            "degenerate_pairs": [
+                list(p) for p, hit in zip(EIGEN_PAIRS, wave.degenerate_pairs[i]) if hit
+            ],
+            "causal": bool(wave.causal[i]),
+            "sum_squared_formula": _round_trip(sums[i]),
+            "pure_longitudinal_residual": _round_trip(residuals[i]),
+        }
+        for i in range(len(dirs))
+    ]
 
 
 def acoustics_report(
@@ -200,8 +204,7 @@ def acoustics_report(
     Stiffness is converted to GPa and density is in g/cm^3, so velocities are
     km/s.  Returns ``(report, rows)``; ``rows`` is empty unless ``scan``.
     """
-    if rho_g_cm3 <= 0:
-        raise ValueError(f"density must be positive, got {rho_g_cm3}")
+    rho_g_cm3 = ac.check_density(rho_g_cm3)
     c_gpa = record.stiffness_gpa()
     parts = decomp.decompose(c_gpa)
     report = {
@@ -215,10 +218,9 @@ def acoustics_report(
     block = report["acoustics"]
 
     if directions:
-        block["directions"] = [
-            _direction_entry(c_gpa, parts, ac.unit_vector(n), rho_g_cm3)
-            for n in directions
-        ]
+        block["directions"] = _direction_entries(
+            c_gpa, parts, np.asarray(directions, dtype=float), rho_g_cm3
+        )
 
     crit = ac.critical_directions(parts)
     block["critical_directions"] = {
@@ -245,7 +247,10 @@ def acoustics_report(
                 {
                     "direction": _vector(h.direction),
                     "residual": _round_trip(h.residual),
-                    "velocity_km_s": _round_trip(h.velocity),
+                    # null marks a non-causal hit (JSON has no NaN)
+                    "velocity_km_s": (
+                        None if math.isnan(h.velocity) else _round_trip(h.velocity)
+                    ),
                 }
                 for h in result.hits
             ],
@@ -254,41 +259,42 @@ def acoustics_report(
 
 
 def scan_rows(c_gpa: np.ndarray, rho: float, count: int) -> list[dict]:
-    """Evaluate the wave solution on a golden-angle lattice of directions."""
-    rows = []
-    for idx, n in enumerate(ac.fibonacci_sphere(count)):
-        bundle = ac.christoffel(c_gpa, n, rho)
-        wave = ac.wave_solve(bundle)
-        rows.append(
-            {
-                "index": idx,
-                "n": n,
-                "velocities": wave.velocities,
-                "purity_l": float(wave.longitudinal_purity[0]),
-                "degenerate": bool(wave.degenerate_pairs),
-                "causal": wave.causal,
-            }
-        )
-    return rows
+    """Evaluate the wave solution on a golden-angle lattice of directions,
+    one row per direction in lattice order, from one batched solve."""
+    dirs = ac.fibonacci_sphere(count)
+    wave = ac.wave_solve(ac.christoffel(c_gpa, dirs, rho))
+    purity = wave.longitudinal_purity[:, 0].tolist()
+    degenerate = wave.degenerate_pairs.any(axis=1).tolist()
+    causal = wave.causal.tolist()
+    return [
+        {
+            "index": idx,
+            "n": dirs[idx],
+            "velocities": wave.velocities[idx],
+            "purity_l": purity[idx],
+            "degenerate": degenerate[idx],
+            "causal": causal[idx],
+        }
+        for idx in range(count)
+    ]
+
+
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def write_scan_csv(rows: list[dict], path) -> None:
     """Write scan rows as CSV: '.' decimal separator, LF line endings, and a
-    mandatory header ``nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag``."""
-
-    def fmt(x: float) -> str:
-        return "nan" if math.isnan(x) else f"{x:.17g}"
-
+    mandatory header ``nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag``; floats
+    carry 17 significant digits and a non-causal velocity reads ``nan``.
+    ``rows`` are :func:`scan_rows` output."""
+    lines = [
+        _CSV_ROW % (*row["n"].tolist(), *row["velocities"].tolist(),
+                    row["purity_l"], row["degenerate"])
+        for row in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag\n")
-        for row in rows:
-            n = row["n"]
-            v = row["velocities"]
-            fh.write(
-                f"{fmt(n[0])},{fmt(n[1])},{fmt(n[2])},"
-                f"{fmt(v[0])},{fmt(v[1])},{fmt(v[2])},"
-                f"{fmt(row['purity_l'])},{int(row['degenerate'])}\n"
-            )
+        fh.writelines(lines)
 
 
 def reconstruct_stiffness(decomposition_block: dict) -> np.ndarray:

@@ -25,6 +25,8 @@ __all__ = [
     "validate_symmetries",
     "symmetrize_orbit",
     "eig_sym3",
+    "EIGEN_PAIRS",
+    "degenerate_mask",
     "degenerate_pairs",
     "frobenius_norm4",
     "frobenius_inner4",
@@ -93,6 +95,8 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If an entry of ``m`` is NaN or infinite.
     SymmetryViolation
         If ``m`` deviates from symmetry by more than ``tol`` (relative to the
         largest entry); the offending Voigt pair is reported one-based.
@@ -100,6 +104,8 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"expected a 6x6 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("stiffness entries must be finite")
     scale = max(float(np.abs(m).max()), 1.0)
     asym = np.abs(m - m.T)
     if asym.max() > tol * scale:
@@ -149,11 +155,14 @@ def validate_symmetries(c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     largest entry of the input.
 
     Returns the exactly symmetric projected tensor.  Raises
-    :class:`SymmetryViolation` naming the worst index tuple otherwise.
+    :class:`SymmetryViolation` naming the worst index tuple otherwise, and
+    ``ValueError`` for a NaN or infinite entry.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3, 3, 3, 3), got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("stiffness entries must be finite")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     projected = symmetrize_orbit(c)
@@ -166,70 +175,55 @@ def validate_symmetries(c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return projected
 
 
-_JACOBI_SWEEPS = 50
-_JACOBI_TOL = 1e-13
-
-
 def eig_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a symmetric 3x3 matrix.
+    """Eigenvalues and eigenvectors of symmetric 3x3 matrices.
 
-    Uses cyclic Jacobi rotations: branch-free and robust for nearly degenerate
-    spectra.  Convergence is declared when the off-diagonal Frobenius norm
-    drops below ``1e-13 * ||a||``, with a hard cap of 50 sweeps.
+    ``a`` has shape ``(3, 3)`` or a stack ``(..., 3, 3)``; every slice is
+    symmetrized and all slices are solved by one stacked LAPACK ``eigh`` call.
+    Slice results do not depend on the other slices in the stack.
 
     Returns
     -------
     (values, vectors)
-        ``values`` sorted descending; ``vectors[:, k]`` is the unit eigenvector
-        for ``values[k]`` and the columns form an orthonormal frame.
+        ``values[..., k]`` sorted descending; ``vectors[..., :, k]`` is the
+        unit eigenvector for ``values[..., k]``, signed so that its
+        largest-magnitude component is positive, and the columns form an
+        orthonormal frame, also for degenerate spectra.  A zero slice gives
+        zero values and the identity frame.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    A = 0.5 * (a + a.T)
-    V = np.eye(3)
-    norm = float(np.linalg.norm(A))
-    if norm == 0.0:
-        return np.zeros(3), V
-    for _ in range(_JACOBI_SWEEPS):
-        off = np.sqrt(2.0 * (A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2))
-        if off <= _JACOBI_TOL * norm:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
-            if apq == 0.0:
-                continue
-            theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-            t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-            if theta == 0.0:
-                t = 1.0
-            cth = 1.0 / np.sqrt(t * t + 1.0)
-            sth = t * cth
-            J = np.eye(3)
-            J[p, p] = J[q, q] = cth
-            J[p, q] = sth
-            J[q, p] = -sth
-            A = J.T @ A @ J
-            V = V @ J
-    order = np.argsort(A.diagonal())[::-1]
-    values = A.diagonal()[order].copy()
-    vectors = V[:, order].copy()
-    # canonical sign: largest-magnitude component of each eigenvector positive
-    for k in range(3):
-        j = int(np.abs(vectors[:, k]).argmax())
-        if vectors[j, k] < 0:
-            vectors[:, k] = -vectors[:, k]
+    if a.ndim < 2 or a.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3x3 matrices, got shape {a.shape}")
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    values, vectors = np.linalg.eigh(sym)
+    values = values[..., ::-1].copy()
+    vectors = vectors[..., ::-1]
+    pivot = np.take_along_axis(
+        vectors, np.abs(vectors).argmax(axis=-2)[..., None, :], axis=-2
+    )
+    vectors = np.where(pivot < 0, -vectors, vectors)
+    zero = ~sym.any(axis=(-2, -1))
+    values[zero] = 0.0
+    vectors[zero] = IDENTITY3
     return values, vectors
+
+
+# eigenvalue index pairs, in the order degenerate_mask reports them
+EIGEN_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def degenerate_mask(values: np.ndarray, scale, tol: float = 1e-9) -> np.ndarray:
+    """Flags, shape ``(..., 3)``, telling which pairs of :data:`EIGEN_PAIRS`
+    of the spectra ``values`` (shape ``(..., 3)``) coincide within
+    ``tol * scale`` (``scale`` broadcasts against shape ``(...)``)."""
+    values = np.asarray(values, dtype=float)
+    gaps = np.abs(values[..., [0, 0, 1]] - values[..., [1, 2, 2]])
+    return gaps <= tol * np.maximum(np.asarray(scale, dtype=float), 0.0)[..., None]
 
 
 def degenerate_pairs(values: np.ndarray, scale: float, tol: float = 1e-9) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, whose eigenvalues coincide within ``tol * scale``."""
-    hits = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(values[i] - values[j]) <= tol * max(scale, 0.0):
-                hits.append((i, j))
-    return hits
+    return [p for p, hit in zip(EIGEN_PAIRS, degenerate_mask(values, scale, tol)) if hit]
 
 
 def frobenius_norm4(c: np.ndarray) -> float:
@@ -247,11 +241,16 @@ def frobenius_norm2(a: np.ndarray) -> float:
 
 
 def unit_vector(n, tol: float = 1e-12) -> np.ndarray:
-    """Return ``n`` as a float array, requiring ``|n| = 1`` within ``tol``."""
-    n = np.asarray(n, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"not a unit vector: |n| = {norm!r}")
+    """Return ``n`` as a float array of shape ``(3,)`` or ``(N, 3)``, requiring
+    ``|n| = 1`` within ``tol`` on every row (a non-finite row fails)."""
+    n = np.asarray(n, dtype=float)
+    if n.ndim not in (1, 2) or n.shape[-1] != 3:
+        raise ValueError(f"expected a direction of shape (3,) or (N, 3), got {n.shape}")
+    norm = np.linalg.norm(n, axis=-1)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= tol))
+    if bad.size:
+        where = "" if n.ndim == 1 else f" in row {int(bad[0])}"
+        raise ValueError(f"not a unit vector{where}: |n| = {float(norm.flat[bad[0]])!r}")
     return n
 
 

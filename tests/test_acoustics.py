@@ -20,6 +20,7 @@ from cauchykit.acoustics import (
     wave_solve,
 )
 from cauchykit.decomp import a_from_delta, decompose, sa_split
+from cauchykit.report import scan_rows, write_scan_csv
 from cauchykit.tensor_core import (
     cubic_stiffness,
     frobenius_norm2,
@@ -77,6 +78,96 @@ class TestChristoffel:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             christoffel(ISO, [0.0, 0.0, 2.0], 1.0)
+
+
+class TestBatchedDirections:
+    @pytest.mark.parametrize("kind", ["W", "triclinic", "indefinite"])
+    def test_rows_match_single_direction_calls(self, rng, kind):
+        c = {
+            "W": W,
+            "triclinic": voigt_to_full(random_spd_voigt(rng)),
+            "indefinite": random_stiffness(rng),
+        }[kind]
+        axes = [EZ, np.ones(3) / math.sqrt(3.0), [0.6, 0.0, 0.8]]
+        dirs = np.concatenate([fibonacci_sphere(200), axes,
+                               [random_unit(rng) for _ in range(20)]])
+        bundle = christoffel(c, dirs, 2.5)
+        wave = wave_solve(bundle)
+        assert wave.eigenvalues.shape == (len(dirs), 3)
+        assert wave.degenerate_pairs.shape == (len(dirs), 3)
+        sums = sum_squared_velocities(decompose(c), dirs, 2.5)
+        residuals = pure_longitudinal_residual(bundle)
+        for i, n in enumerate(dirs):
+            one = christoffel(c, n, 2.5)
+            single = wave_solve(one)
+            scale = frobenius_norm2(one.gamma)
+            assert np.abs(bundle.gamma[i] - one.gamma).max() <= 1e-12 * scale
+            assert np.abs(wave.eigenvalues[i] - single.eigenvalues).max() <= 1e-12 * scale
+            assert np.array_equal(np.isnan(wave.velocities[i]), np.isnan(single.velocities))
+            assert np.allclose(wave.velocities[i] ** 2, single.velocities ** 2, rtol=0,
+                               atol=1e-12 * scale, equal_nan=True)
+            assert np.allclose(wave.longitudinal_purity[i], single.longitudinal_purity,
+                               rtol=0, atol=1e-12)
+            assert isinstance(single.causal, bool)
+            assert bool(wave.causal[i]) == single.causal
+            assert isinstance(single.degenerate_pairs, tuple)
+            flagged = tuple(p for p, hit in zip(((0, 1), (0, 2), (1, 2)),
+                                                wave.degenerate_pairs[i]) if hit)
+            assert flagged == single.degenerate_pairs
+            assert sums[i] == pytest.approx(sum_squared_velocities(decompose(c), n, 2.5),
+                                            rel=1e-12, abs=1e-12 * scale)
+            assert residuals[i] == pytest.approx(pure_longitudinal_residual(one),
+                                                 rel=1e-9, abs=1e-12)
+        if kind == "W":
+            assert wave.degenerate_pairs[len(dirs) - 23].tolist() == [False, False, True]
+        if kind == "indefinite":
+            assert not wave.causal.all()
+
+    def test_non_unit_row_rejected(self):
+        dirs = fibonacci_sphere(10)
+        dirs[7] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="row 7"):
+            christoffel(W, dirs, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2, 3, 3)])
+    def test_bad_direction_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            christoffel(W, np.ones(shape) / math.sqrt(3.0), 1.0)
+
+
+class TestDensityGuard:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_every_entry_point_rejects(self, rho):
+        parts = decompose(W)
+        with pytest.raises(ValueError, match="finite and positive"):
+            christoffel(W, EZ, rho)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sum_squared_velocities(parts, EZ, rho)
+        with pytest.raises(ValueError, match="finite and positive"):
+            shear_sum(parts, EZ, rho)
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_pure_longitudinal(W, rho, grid_n=100)
+
+
+class TestScanCsv:
+    def test_bytes_equal_reference_formatter(self, rng, tmp_path):
+        b = rng.uniform(-1, 1, (6, 6))
+        c = voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100)
+        rows = scan_rows(c, 3.0, 300)
+        assert any(not r["causal"] for r in rows) and any(r["causal"] for r in rows)
+
+        def fmt(x):
+            return "nan" if math.isnan(x) else f"{x:.17g}"
+
+        expected = "nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag\n" + "".join(
+            ",".join([fmt(x) for x in (*r["n"], *r["velocities"], r["purity_l"])]
+                     + [str(int(r["degenerate"]))]) + "\n"
+            for r in rows
+        )
+        path = tmp_path / "scan.csv"
+        write_scan_csv(rows, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert b",nan," in path.read_bytes()
 
 
 class TestWaveSolve:
@@ -289,6 +380,22 @@ class TestPureLongitudinal:
         assert not scan.all_directions_pure
         assert any(abs(h.direction[2]) < 1e-8 for h in scan.hits)  # basal ring
         assert any(abs(h.direction[2] - 1) < 1e-8 for h in scan.hits)  # axis
+
+    def test_non_causal_hit_velocity_is_nan(self):
+        b = np.random.default_rng(0).uniform(-1, 1, (6, 6))
+        c = voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100)
+        s_part = sa_split(c).s
+        scan = find_pure_longitudinal(c, 3.0, grid_n=1000)
+        non_causal = 0
+        for hit in scan.hits:
+            n = hit.direction
+            v2 = float(np.einsum("ijkl,i,j,k,l->", s_part, n, n, n, n)) / 3.0
+            if v2 > 0:
+                assert hit.velocity == pytest.approx(math.sqrt(v2), rel=1e-12)
+            else:
+                non_causal += 1
+                assert math.isnan(hit.velocity)
+        assert non_causal >= 1
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,23 @@ class TestLoadMaterial:
         with pytest.raises(MaterialError, match="finite"):
             material_from_dict(material_doc(voigt=voigt.tolist()))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_upper_triangle_rejected(self, bad):
+        upper = [4.0, 1.2, 1.2, 0, 0, 0, 4.0, 1.2, 0, 0, 0, 4.0, 0, 0, 0,
+                 1.1, 0, 0, 1.1, 0, 1.1]
+        upper[3] = bad
+        with pytest.raises(MaterialError, match="finite"):
+            material_from_dict(material_doc(voigt=upper))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_density_rejected(self, tmp_path, bad):
+        doc = material_doc(density={"value": bad, "unit": "g/cm^3"})
+        with pytest.raises(MaterialError, match="finite"):
+            material_from_dict(doc)
+        # json writes NaN / Infinity literals, which the parser accepts
+        with pytest.raises(MaterialError, match="finite"):
+            load_material(write_material(tmp_path, doc))
+
     def test_mbar_converts_to_gpa(self):
         record = bundled_material("w")
         c = record.stiffness_gpa()
@@ -290,6 +307,18 @@ class TestCli:
             main, ["acoustics", w_file, "--n", "0,0,1", "--density", "-2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_acoustics_non_finite_density_exits_2(self, w_file, rho):
+        result = CliRunner().invoke(
+            main, ["acoustics", w_file, "--n", "0,0,1", "--density", rho])
+        assert result.exit_code == 2
+        assert "finite and positive" in result.output
+
+    def test_acoustics_non_finite_direction_exits_2(self, w_file):
+        result = CliRunner().invoke(
+            main, ["acoustics", w_file, "--n", "nan,0,1", "--density", "19.25"])
+        assert result.exit_code == 2
+
     def test_acoustics_isotropic_direction_independent(self, tmp_path):
         voigt = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],
                  [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]]
@@ -330,6 +359,23 @@ class TestCli:
         assert "(+1.000000, +0.000000, +0.000000)" in result.output
         body = 1.0 / math.sqrt(3.0)
         assert f"(+{body:.6f}, +{body:.6f}, +{body:.6f})" in result.output
+
+    def test_acoustics_non_causal_pure_hit_is_null(self, tmp_path):
+        b = np.random.default_rng(0).uniform(-1, 1, (6, 6))
+        voigt = (0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100
+        path = write_material(tmp_path, material_doc(voigt=voigt.tolist()))
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main, ["--json", str(out), "acoustics", path, "--density", "3",
+                   "--scan", "1000", "--pure-modes"])
+        assert result.exit_code == 0, result.output
+        hits = json.loads(out.read_text(encoding="utf-8"))[
+            "acoustics"]["pure_longitudinal"]["hits"]
+        velocities = [h["velocity_km_s"] for h in hits]
+        assert None in velocities and 0.0 not in velocities
+        flagged = [line for line in result.output.splitlines() if "[non-causal]" in line]
+        assert len(flagged) == velocities.count(None)
+        assert all("v_L = nan km/s" in line for line in flagged)
 
     def test_acoustics_pure_modes_isotropic(self, tmp_path):
         voigt = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],

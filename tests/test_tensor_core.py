@@ -18,6 +18,7 @@ from cauchykit.tensor_core import (
     random_rotation,
     rotate4,
     symmetrize_orbit,
+    unit_vector,
     validate_symmetries,
     voigt_to_full,
 )
@@ -187,6 +188,60 @@ class TestEigSym3:
         values, vectors = eig_sym3(np.zeros((3, 3)))
         assert np.array_equal(values, np.zeros(3))
         assert np.array_equal(vectors, np.eye(3))
+
+    def test_stacked_slices_keep_the_contract(self, rng):
+        o = random_rotation(rng)
+        stack = np.concatenate([
+            rng.normal(size=(50, 3, 3)),  # not symmetric: symmetrized first
+            [o @ np.diag([2.0, 2.0, -1.0]) @ o.T, np.diag([3.0, 1.0, 1.0]),
+             5.0 * np.eye(3), np.zeros((3, 3)), np.diag([0.0, 0.0, -4.0])],
+        ]).reshape(5, 11, 3, 3)
+        values, vectors = eig_sym3(stack)
+        assert values.shape == (5, 11, 3) and vectors.shape == (5, 11, 3, 3)
+        sym = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+        for idx in np.ndindex(5, 11):
+            a, w, v = sym[idx], values[idx], vectors[idx]
+            assert w[0] >= w[1] >= w[2]
+            assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
+            assert np.abs(a @ v - v * w).max() <= 1e-12 * max(np.linalg.norm(a), 1e-300)
+            for k in range(3):
+                assert v[np.abs(v[:, k]).argmax(), k] > 0
+            single = eig_sym3(stack[idx])
+            assert np.array_equal(single[0], w) and np.array_equal(single[1], v)
+        zero = (4, 9)
+        assert np.array_equal(values[zero], np.zeros(3))
+        assert np.array_equal(vectors[zero], np.eye(3))
+        assert degenerate_pairs(values[4, 7], scale=np.sqrt(11.0)) == [(1, 2)]
+        assert degenerate_pairs(values[4, 8], scale=5.0) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_non_square_input_rejected(self):
+        with pytest.raises(ValueError):
+            eig_sym3(np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            eig_sym3(np.zeros(3))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_voigt_to_full_rejects(self, bad):
+        m = np.eye(6)
+        m[2, 4] = m[4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            voigt_to_full(m)
+
+    def test_validate_symmetries_rejects(self, rng):
+        c = random_stiffness(rng)
+        c[0, 1, 0, 1] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            validate_symmetries(c)
+
+    @pytest.mark.parametrize("n", [
+        [float("nan"), 0.0, 1.0],
+        [[0.0, 0.0, 1.0], [0.6, float("nan"), 0.8]],
+    ])
+    def test_unit_vector_rejects_nan_rows(self, n):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            unit_vector(n)
 
 
 class TestFrobenius:
