@@ -31,6 +31,7 @@ from .decomp import (
     decompose,
     delta_from_a,
     general_relation_residual,
+    generator_tensors,
     mn_split,
     q_components_voigt,
     sa_split,

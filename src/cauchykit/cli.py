@@ -62,8 +62,8 @@ def main(ctx, tol, json_out, strict):
     """Analyze elastic stiffness tensors: irreducible decomposition,
     Cauchy-structure classification, constitutive response, and
     Christoffel-tensor acoustics."""
-    if tol < 0:
-        _fail(ctx, EXIT_VALIDATION, "--tol must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        _fail(ctx, EXIT_VALIDATION, "--tol must be finite and nonnegative")
     ctx.obj = {"tol": tol, "json_out": json_out, "strict": strict}
 
 
@@ -108,9 +108,12 @@ def _parse_floats(ctx, text: str, count: int, what: str) -> np.ndarray:
         _fail(ctx, EXIT_VALIDATION,
               f"{what} needs {count} comma-separated numbers, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError:
         _fail(ctx, EXIT_VALIDATION, f"{what}: not a number in {text!r}")
+    if not np.isfinite(values).all():
+        _fail(ctx, EXIT_VALIDATION, f"{what}: numbers must be finite, got {text!r}")
+    return values
 
 
 @main.command()

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import IrreducibleParts, assemble, decompose
+# re-exported: decompose builds the IrreducibleParts the functions here take
+from .decomp import IrreducibleParts, assemble, decompose  # noqa: F401
 from .tensor_core import IDENTITY3, full_to_voigt
 
 __all__ = [
@@ -161,8 +162,9 @@ def k_shear(parts: IrreducibleParts) -> float:
     return (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 30.0
 
 
-def energy(c: np.ndarray, eps) -> EnergyReport:
-    """Elastic energy density ``E = (1/2) c : eps : eps`` with attribution.
+def energy(parts: IrreducibleParts, eps) -> EnergyReport:
+    """Elastic energy density ``E = (1/2) c : eps : eps`` with attribution,
+    for the tensor ``c`` that :func:`decompose` split into ``parts``.
 
     Channels:
 
@@ -174,14 +176,12 @@ def energy(c: np.ndarray, eps) -> EnergyReport:
 
     The channel sum reproduces the direct quadruple contraction exactly.
     """
-    c = np.asarray(c, dtype=float)
     eps = _sym3(eps)
-    parts = decompose(c)
     sp = split_strain(eps)
     u = sp.shear
     tr = sp.trace
 
-    total = 0.5 * float(np.einsum("ijkl,ij,kl->", c, eps, eps))
+    total = 0.5 * float(np.einsum("ijkl,ij,kl->", parts.split.c, eps, eps))
 
     ec_c = tr * tr / 18.0 * parts.scalar_s
     ec_nc = tr * tr / 18.0 * parts.scalar_a

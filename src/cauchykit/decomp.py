@@ -17,6 +17,11 @@ The five assembled sub-tensors are mutually orthogonal under the Frobenius
 inner product and sum back to the input; both facts are what make the
 decomposition unique and are enforced by the test suite.
 
+:func:`decompose` is the one analysis pass: its result keeps the split it
+refined, so the classification, the Cauchy factor and the constitutive
+results read off it.  :func:`generator_tensors` is the one home of the S, P
+and A sub-tensor assembly, shared with report reconstruction.
+
 Sign and normalization conventions are fixed once and for all by
 :func:`delta_from_a`; alternative scalings of ``delta`` found in the
 literature are deliberately not supported.
@@ -45,6 +50,7 @@ __all__ = [
     "delta_from_a",
     "a_from_delta",
     "so3_refine",
+    "generator_tensors",
     "decompose",
     "assemble",
     "q_components_voigt",
@@ -70,20 +76,20 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class SAParts:
-    """Permutation-group split ``c = s + a``.
+    """Permutation-group split ``c = s + a`` of the tensor ``c``.
 
     ``s`` is invariant under all 24 index permutations; ``a`` carries the
     deviation from the Cauchy relations and satisfies the cyclic identity
     ``a[i,(j,k,l)] = 0`` (symmetrization over the last three indices).
     """
 
+    c: np.ndarray
     s: np.ndarray
     a: np.ndarray
 
     def __post_init__(self):
-        s, a = _frozen(self.s, self.a)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
+        for name, arr in zip(("c", "s", "a"), _frozen(self.c, self.s, self.a)):
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,12 @@ class IrreducibleParts:
 
     ``tensor_s1 .. tensor_a2`` are the five assembled rank-4 sub-tensors; they
     are pairwise orthogonal and sum to the decomposed stiffness tensor.
+    ``split`` is the permutation split they were refined from (``split.c`` is
+    the decomposed tensor) and ``delta`` the 3x3 form of its non-Cauchy part.
     """
 
+    split: SAParts
+    delta: np.ndarray
     scalar_s: float
     dev_p: np.ndarray
     harm_r: np.ndarray
@@ -116,21 +126,9 @@ class IrreducibleParts:
     tensor_a2: np.ndarray
 
     def __post_init__(self):
-        frozen = _frozen(
-            self.dev_p,
-            self.harm_r,
-            self.dev_q,
-            self.tensor_s1,
-            self.tensor_s2,
-            self.tensor_s3,
-            self.tensor_a1,
-            self.tensor_a2,
-        )
-        for name, arr in zip(
-            ("dev_p", "harm_r", "dev_q", "tensor_s1", "tensor_s2",
-             "tensor_s3", "tensor_a1", "tensor_a2"),
-            frozen,
-        ):
+        names = ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1", "tensor_s2",
+                 "tensor_s3", "tensor_a1", "tensor_a2")
+        for name, arr in zip(names, _frozen(*(getattr(self, n) for n in names))):
             object.__setattr__(self, name, arr)
 
     @property
@@ -144,6 +142,19 @@ class IrreducibleParts:
     @property
     def r_norm(self) -> float:
         return frobenius_norm4(self.harm_r)
+
+    @property
+    def cauchy_factor(self) -> float:
+        """Dimensionless closeness to the ideal Cauchy model, in [0, 1].
+
+        ``F = ||s|| / sqrt(||s||^2 + ||a||^2)``; equals 1 exactly when the
+        non-Cauchy part vanishes.  Undefined (rejected) for the zero tensor.
+        """
+        ns = frobenius_norm4(self.split.s)
+        na = frobenius_norm4(self.split.a)
+        if ns == 0.0 and na == 0.0:
+            raise ValueError("Cauchy factor is undefined for the zero tensor")
+        return float(ns / np.sqrt(ns * ns + na * na))
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ def sa_split(c: np.ndarray) -> SAParts:
     """
     c = np.asarray(c, dtype=float)
     s = (c + np.einsum("iklj->ijkl", c) + np.einsum("iljk->ijkl", c)) / 3.0
-    return SAParts(s=s, a=c - s)
+    return SAParts(c=c, s=s, a=c - s)
 
 
 def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -191,6 +202,10 @@ def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
             "input is not a pure non-Cauchy tensor: cyclic identity violated "
             f"by {float(np.abs(cyc).max()):.3e} (norm {scale:.3e})"
         )
+    return _condense(a)
+
+
+def _condense(a: np.ndarray) -> np.ndarray:
     d = np.einsum("mil,njk,ijkl->mn", LEVI_CIVITA, LEVI_CIVITA, a) / 3.0
     return 0.5 * (d + d.T)
 
@@ -221,40 +236,52 @@ def _sym_pg(p: np.ndarray) -> np.ndarray:
     )
 
 
+def generator_tensors(scalar_s: float, dev_p: np.ndarray, scalar_a: float,
+                      dev_q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Assemble the rank-4 sub-tensors ``(s1, s2, a1, a2)`` from the
+    generators ``S``, ``P``, ``A`` and ``Q`` (``R`` is its own sub-tensor):
+
+    * ``s1 = (S/15) (g g + g g + g g)`` over the three index pairings,
+    * ``s2 = (1/7) sym(P g)`` over the six pairings,
+    * ``a1 = (A/12) (2 g g - g g - g g)``,
+    * ``a2`` rebuilt from ``Q`` by :func:`a_from_delta`.
+    """
+    s1 = scalar_s / 15.0 * (_G1 + _G2 + _G3)
+    s2 = _sym_pg(dev_p) / 7.0
+    a1 = scalar_a / 12.0 * (2.0 * _G1 - _G3 - _G2)
+    a2 = a_from_delta(dev_q)
+    return s1, s2, a1, a2
+
+
 def so3_refine(parts: SAParts) -> IrreducibleParts:
     """Refine a permutation split into the five rotation-invariant sub-tensors.
 
     The symmetric part yields the scalar ``S = s[i,i,k,k]``, the deviator
     ``P = s[i,j,k,k] - (S/3) g`` and the harmonic remainder
-    ``R = s - s1 - s2`` with
-
-    * ``s1 = (S/15) (g g + g g + g g)`` over the three index pairings,
-    * ``s2 = (1/7) sym(P g)`` over the six pairings.
-
-    ``R`` coming out traceless on every index pair is a built-in self check of
-    the 1/15 and 1/7 coefficients.  The mixed part yields ``A = 2 tr delta``,
-    ``Q = delta - (tr delta / 3) g`` and
-
-    * ``a1 = (A/12) (2 g g - g g - g g)``,
-    * ``a2`` rebuilt from ``Q`` alone, so that ``a1 + a2 = a`` exactly.
+    ``R = s - s1 - s2``.  ``R`` coming out traceless on every index pair is a
+    built-in self check of the 1/15 and 1/7 coefficients of
+    :func:`generator_tensors`.  The mixed part yields ``A = 2 tr delta`` and
+    ``Q = delta - (tr delta / 3) g``, and ``a1 + a2 = a`` exactly.
     """
     s, a = parts.s, parts.a
     g = IDENTITY3
 
     scalar_s = float(np.einsum("iikk->", s))
     dev_p = np.einsum("ijkk->ij", s) - scalar_s / 3.0 * g
-    s1 = scalar_s / 15.0 * (_G1 + _G2 + _G3)
-    s2 = _sym_pg(dev_p) / 7.0
-    harm_r = s - s1 - s2
 
-    delta = delta_from_a(a)
+    # a is non-Cauchy by construction; delta_from_a's check, relative to ||a||,
+    # would reject an exactly Cauchy input, whose a is rounding noise
+    delta = _condense(a)
     tr_delta = float(np.trace(delta))
     scalar_a = 2.0 * tr_delta
     dev_q = delta - tr_delta / 3.0 * g
-    a1 = scalar_a / 12.0 * (2.0 * _G1 - _G3 - _G2)
-    a2 = a_from_delta(dev_q)
+
+    s1, s2, a1, a2 = generator_tensors(scalar_s, dev_p, scalar_a, dev_q)
+    harm_r = s - s1 - s2
 
     return IrreducibleParts(
+        split=parts,
+        delta=delta,
         scalar_s=scalar_s,
         dev_p=dev_p,
         harm_r=harm_r,
@@ -313,43 +340,30 @@ def q_components_voigt(c: np.ndarray) -> np.ndarray:
 
 
 def cauchy_factor(c: np.ndarray) -> float:
-    """Dimensionless closeness to the ideal Cauchy model, in [0, 1].
-
-    ``F = ||s|| / sqrt(||s||^2 + ||a||^2)``; equals 1 exactly when the
-    non-Cauchy part vanishes.  Undefined (rejected) for the zero tensor.
-    """
-    c = np.asarray(c, dtype=float)
-    norm_c = frobenius_norm4(c)
-    if norm_c == 0.0:
-        raise ValueError("Cauchy factor is undefined for the zero tensor")
-    parts = sa_split(c)
-    ns = frobenius_norm4(parts.s)
-    na = frobenius_norm4(parts.a)
-    return ns / np.sqrt(ns * ns + na * na)
+    """Cauchy factor of a stiffness tensor; see
+    :attr:`IrreducibleParts.cauchy_factor`."""
+    return decompose(c).cauchy_factor
 
 
-def classify(c: np.ndarray, tol: float = 1e-6) -> Classification:
-    """Classify a material by the structure of its non-Cauchy part.
+def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
+    """Classify a decomposed material by the structure of its non-Cauchy part.
 
     ``full_cauchy``: the whole non-Cauchy part vanishes,
     ``||a|| <= tol ||c||``.  ``partial_cauchy``: only the deviator vanishes,
     ``||Q|| <= tol ||c||`` (holds for all isotropic and cubic materials).
     The sign of the surviving scalar ``A`` splits materials into the positive
     and negative classes; ``|A| <= tol ||c||`` is reported as
-    ``"zero-within-tol"``.
+    ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose`.
     """
-    c = np.asarray(c, dtype=float)
-    parts = sa_split(c)
-    irr = so3_refine(parts)
-    norm_c = frobenius_norm4(c)
-    norm_a = frobenius_norm4(parts.a)
+    norm_c = frobenius_norm4(parts.split.c)
+    norm_a = frobenius_norm4(parts.split.a)
     scale = tol * norm_c
 
     full = norm_a <= scale
-    partial = irr.q_norm <= scale
-    if irr.scalar_a > scale:
+    partial = parts.q_norm <= scale
+    if parts.scalar_a > scale:
         sign = "positive"
-    elif irr.scalar_a < -scale:
+    elif parts.scalar_a < -scale:
         sign = "negative"
     else:
         sign = "zero-within-tol"
@@ -358,12 +372,12 @@ def classify(c: np.ndarray, tol: float = 1e-6) -> Classification:
         full_cauchy=bool(full),
         partial_cauchy=bool(partial),
         a_sign=sign,
-        scalar_a=irr.scalar_a,
-        cauchy_factor=cauchy_factor(c) if norm_c > 0 else 1.0,
+        scalar_a=parts.scalar_a,
+        cauchy_factor=parts.cauchy_factor if norm_c > 0 else 1.0,
         quadratic_invariants={
-            "p_norm": irr.p_norm,
-            "q_norm": irr.q_norm,
-            "r_norm": irr.r_norm,
+            "p_norm": parts.p_norm,
+            "q_norm": parts.q_norm,
+            "r_norm": parts.r_norm,
         },
     )
 

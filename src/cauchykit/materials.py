@@ -131,29 +131,29 @@ def _check_unknown_fields(obj: dict, allowed: set[str], where: str,
 
 
 def _voigt_from_payload(payload, where: str) -> np.ndarray:
-    if isinstance(payload, list) and len(payload) == 21 and all(
+    flat = isinstance(payload, list) and len(payload) == 21 and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in payload
-    ):
+    )
+    try:
+        m = np.array(payload, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MaterialError(f"{where}: voigt entries must be numbers") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise MaterialError(f"{where}: voigt entries must be finite") from exc
+    if flat:
+        upper = m
         m = np.zeros((6, 6))
-        k = 0
-        for i in range(6):
-            for j in range(i, 6):
-                m[i, j] = m[j, i] = float(payload[k])
-                k += 1
-    else:
-        try:
-            m = np.array(payload, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MaterialError(f"{where}: voigt entries must be numbers") from exc
-        _require(
-            m.shape == (6, 6),
-            f"{where}: expected a 6x6 matrix or 21 upper-triangle values, "
-            f"got shape {m.shape}",
-        )
+        m[np.triu_indices(6)] = upper
+        m.T[np.triu_indices(6)] = upper
+    _require(
+        m.shape == (6, 6),
+        f"{where}: expected a 6x6 matrix or 21 upper-triangle values, "
+        f"got shape {m.shape}",
+    )
     _require(bool(np.isfinite(m).all()), f"{where}: voigt entries must be finite")
     asym = np.abs(m - m.T)
     if asym.max() > 0:
-        scale = max(float(np.abs(m).max()), 1.0)
+        scale = float(np.abs(m).max())
         if asym.max() > 1e-8 * scale:
             i, j = np.unravel_index(int(asym.argmax()), (6, 6))
             raise MaterialError(
@@ -199,7 +199,7 @@ def check_crystal_system(voigt: np.ndarray, system: str, tol: float = 1e-6) -> l
     """Return human-readable inconsistencies between a Voigt matrix and the
     structural zeros/equalities of the declared crystal system."""
     equalities, zeros, relations = _SYSTEM_STRUCTURE[system]
-    scale = max(float(np.abs(voigt).max()), 1.0)
+    scale = float(np.abs(voigt).max())
     issues = []
     for group in equalities:
         values = [float(voigt[i - 1, j - 1]) for i, j in group]

@@ -5,7 +5,10 @@ round-trip float precision (every float survives re-parsing bit-exactly, at
 most 17 significant digits).  Identical inputs produce byte-identical report
 files.  The decomposition block carries the complete generator set
 (S, P, R, A, Q), so the stiffness tensor can be reassembled from a report
-alone; :func:`reconstruct_stiffness` does exactly that.
+alone; :func:`reconstruct_stiffness` does exactly that, through the same
+:func:`cauchykit.decomp.generator_tensors` the decomposition uses.  Each
+report decomposes its material once with :func:`cauchykit.decomp.decompose`
+and builds every block from that one result.
 """
 
 from __future__ import annotations
@@ -35,24 +38,12 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 
-def _round_trip(x) -> float:
-    return float(x)
-
-
-def _matrix(a: np.ndarray) -> list:
-    return [[_round_trip(v) for v in row] for row in np.asarray(a)]
-
-
-def _vector(a) -> list:
-    return [_round_trip(v) for v in np.asarray(a).ravel()]
-
-
 def _material_echo(record: MaterialRecord) -> dict:
     echo = {
         "name": record.name,
         "crystal_system": record.crystal_system,
         "stiffness_unit": record.stiffness_unit,
-        "voigt": _matrix(record.voigt),
+        "voigt": record.voigt.tolist(),
     }
     if record.density is not None:
         echo["density"] = {"value": record.density.value, "unit": record.density.unit}
@@ -61,106 +52,101 @@ def _material_echo(record: MaterialRecord) -> dict:
     return echo
 
 
-def _decomposition_block(c: np.ndarray) -> dict:
-    parts = decomp.decompose(c)
-    sa = decomp.sa_split(c)
-    delta = decomp.delta_from_a(sa.a)
+def _decomposition_block(parts: decomp.IrreducibleParts) -> dict:
     return {
-        "scalar_s": _round_trip(parts.scalar_s),
-        "scalar_a": _round_trip(parts.scalar_a),
-        "dev_p": _matrix(parts.dev_p),
-        "dev_q": _matrix(parts.dev_q),
-        "harm_r_voigt": _matrix(full_to_voigt(parts.harm_r)),
-        "delta": _matrix(delta),
+        "scalar_s": parts.scalar_s,
+        "scalar_a": parts.scalar_a,
+        "dev_p": parts.dev_p.tolist(),
+        "dev_q": parts.dev_q.tolist(),
+        "harm_r_voigt": full_to_voigt(parts.harm_r).tolist(),
+        "delta": parts.delta.tolist(),
         "norms": {
-            "cauchy_part": _round_trip(frobenius_norm4(sa.s)),
-            "non_cauchy_part": _round_trip(frobenius_norm4(sa.a)),
-            "p_norm": _round_trip(parts.p_norm),
-            "q_norm": _round_trip(parts.q_norm),
-            "r_norm": _round_trip(parts.r_norm),
+            "cauchy_part": frobenius_norm4(parts.split.s),
+            "non_cauchy_part": frobenius_norm4(parts.split.a),
+            "p_norm": parts.p_norm,
+            "q_norm": parts.q_norm,
+            "r_norm": parts.r_norm,
         },
-        "cauchy_factor": _round_trip(decomp.cauchy_factor(c)),
+        "cauchy_factor": parts.cauchy_factor,
     }
 
 
-def _classification_block(c: np.ndarray, tol: float) -> dict:
-    cls = decomp.classify(c, tol=tol)
+def _classification_block(parts: decomp.IrreducibleParts, tol: float) -> dict:
+    cls = decomp.classify(parts, tol=tol)
     return {
         "full_cauchy": cls.full_cauchy,
         "partial_cauchy": cls.partial_cauchy,
         "a_sign": cls.a_sign,
-        "scalar_a": _round_trip(cls.scalar_a),
-        "cauchy_factor": _round_trip(cls.cauchy_factor),
-        "quadratic_invariants": {
-            k: _round_trip(v) for k, v in cls.quadratic_invariants.items()
-        },
+        "scalar_a": cls.scalar_a,
+        "cauchy_factor": cls.cauchy_factor,
+        "quadratic_invariants": dict(cls.quadratic_invariants),
     }
 
 
-def _bounds_block(c: np.ndarray) -> dict:
-    bounds = co.stability_bounds(decomp.decompose(c))
+def _bounds_block(parts: decomp.IrreducibleParts) -> dict:
+    bounds = co.stability_bounds(parts)
     block = {
-        "s_plus_a": _round_trip(bounds.s_plus_a),
-        "four_s_minus_five_a": _round_trip(bounds.four_s_minus_five_a),
+        "s_plus_a": bounds.s_plus_a,
+        "four_s_minus_five_a": bounds.four_s_minus_five_a,
         "a_window_ok": bounds.a_window_ok,
-        "voigt_min_eigenvalue": _round_trip(bounds.voigt_min_eigenvalue),
+        "voigt_min_eigenvalue": bounds.voigt_min_eigenvalue,
     }
     if bounds.poisson_equiv is not None:
-        block["poisson_equiv"] = _round_trip(bounds.poisson_equiv)
+        block["poisson_equiv"] = bounds.poisson_equiv
         block["poisson_ok"] = bounds.poisson_ok
     return block
 
 
 def decomposition_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
     """Full decomposition, classification and bounds report for a material."""
-    c = record.stiffness()
+    parts = decomp.decompose(record.stiffness())
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
-        "decomposition": _decomposition_block(c),
-        "classification": _classification_block(c, tol),
-        "bounds": _bounds_block(c),
+        "decomposition": _decomposition_block(parts),
+        "classification": _classification_block(parts, tol),
+        "bounds": _bounds_block(parts),
     }
 
 
 def classification_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
-    c = record.stiffness()
+    parts = decomp.decompose(record.stiffness())
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
-        "classification": _classification_block(c, tol),
+        "classification": _classification_block(parts, tol),
     }
 
 
 def energy_report(record: MaterialRecord, eps: np.ndarray, tol: float = 1e-6) -> dict:
     """Energy attribution report for a strain state (strain is dimensionless;
     energies carry the stiffness unit)."""
-    c = record.stiffness()
-    e = co.energy(c, eps)
+    parts = decomp.decompose(record.stiffness())
+    e = co.energy(parts, eps)
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
-        "strain": _matrix(np.asarray(eps, dtype=float)),
+        "strain": np.asarray(eps, dtype=float).tolist(),
         "energy": {
             "unit": record.stiffness_unit,
-            "total": _round_trip(e.total),
+            "total": e.total,
             "compression": {
-                "total": _round_trip(e.compression),
-                "cauchy": _round_trip(e.compression_cauchy),
-                "non_cauchy": _round_trip(e.compression_non_cauchy),
+                "total": e.compression,
+                "cauchy": e.compression_cauchy,
+                "non_cauchy": e.compression_non_cauchy,
             },
             "mixed": {
-                "total": _round_trip(e.mixed),
-                "cauchy": _round_trip(e.mixed_cauchy),
-                "non_cauchy": _round_trip(e.mixed_non_cauchy),
+                "total": e.mixed,
+                "cauchy": e.mixed_cauchy,
+                "non_cauchy": e.mixed_non_cauchy,
             },
             "shear": {
-                "total": _round_trip(e.shear),
-                "cauchy": _round_trip(e.shear_cauchy),
-                "non_cauchy": _round_trip(e.shear_non_cauchy),
+                "total": e.shear,
+                "cauchy": e.shear_cauchy,
+                "non_cauchy": e.shear_non_cauchy,
             },
         },
-        "bounds": _bounds_block(c),
+        "bounds": _bounds_block(parts),
     }
 
 
@@ -172,20 +158,20 @@ def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
     residuals = ac.pure_longitudinal_residual(bundle)
     return [
         {
-            "n": _vector(dirs[i]),
+            "n": dirs[i].tolist(),
             # null marks a non-causal mode (JSON has no NaN)
             "velocities_km_s": [
-                None if math.isnan(v) else _round_trip(v) for v in wave.velocities[i]
+                None if math.isnan(v) else float(v) for v in wave.velocities[i]
             ],
-            "squared_velocities": _vector(wave.eigenvalues[i]),
-            "polarizations": _matrix(wave.polarizations[i].T),
-            "longitudinal_purity": _vector(wave.longitudinal_purity[i]),
+            "squared_velocities": wave.eigenvalues[i].tolist(),
+            "polarizations": wave.polarizations[i].T.tolist(),
+            "longitudinal_purity": wave.longitudinal_purity[i].tolist(),
             "degenerate_pairs": [
                 list(p) for p, hit in zip(EIGEN_PAIRS, wave.degenerate_pairs[i]) if hit
             ],
             "causal": bool(wave.causal[i]),
-            "sum_squared_formula": _round_trip(sums[i]),
-            "pure_longitudinal_residual": _round_trip(residuals[i]),
+            "sum_squared_formula": float(sums[i]),
+            "pure_longitudinal_residual": float(residuals[i]),
         }
         for i in range(len(dirs))
     ]
@@ -211,7 +197,7 @@ def acoustics_report(
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
         "acoustics": {
-            "density_g_cm3": _round_trip(rho_g_cm3),
+            "density_g_cm3": float(rho_g_cm3),
             "velocity_unit": "km/s",
         },
     }
@@ -224,8 +210,8 @@ def acoustics_report(
 
     crit = ac.critical_directions(parts)
     block["critical_directions"] = {
-        "eigenvalues": _vector(crit.eigenvalues),
-        "directions": _matrix(crit.directions.T),
+        "eigenvalues": crit.eigenvalues.tolist(),
+        "directions": crit.directions.T.tolist(),
         "fully_degenerate": crit.fully_degenerate,
         "degenerate_pairs": [list(p) for p in crit.degenerate_pairs],
     }
@@ -245,11 +231,11 @@ def acoustics_report(
             "all_directions_pure": result.all_directions_pure,
             "hits": [
                 {
-                    "direction": _vector(h.direction),
-                    "residual": _round_trip(h.residual),
+                    "direction": h.direction.tolist(),
+                    "residual": float(h.residual),
                     # null marks a non-causal hit (JSON has no NaN)
                     "velocity_km_s": (
-                        None if math.isnan(h.velocity) else _round_trip(h.velocity)
+                        None if math.isnan(h.velocity) else float(h.velocity)
                     ),
                 }
                 for h in result.hits
@@ -301,29 +287,13 @@ def reconstruct_stiffness(decomposition_block: dict) -> np.ndarray:
     """Reassemble the full stiffness tensor from a report's decomposition
     block (the fixed point property: decomposing the result reproduces the
     block)."""
-    from .tensor_core import IDENTITY3
-
-    g = IDENTITY3
-    s = float(decomposition_block["scalar_s"])
-    a = float(decomposition_block["scalar_a"])
-    p = np.array(decomposition_block["dev_p"], dtype=float)
-    q = np.array(decomposition_block["dev_q"], dtype=float)
+    s1, s2, a1, a2 = decomp.generator_tensors(
+        float(decomposition_block["scalar_s"]),
+        np.array(decomposition_block["dev_p"], dtype=float),
+        float(decomposition_block["scalar_a"]),
+        np.array(decomposition_block["dev_q"], dtype=float),
+    )
     r = voigt_to_full(np.array(decomposition_block["harm_r_voigt"], dtype=float))
-
-    g1 = np.einsum("ij,kl->ijkl", g, g)
-    g2 = np.einsum("ik,jl->ijkl", g, g)
-    g3 = np.einsum("il,jk->ijkl", g, g)
-    s1 = s / 15.0 * (g1 + g2 + g3)
-    s2 = (
-        np.einsum("ij,kl->ijkl", p, g)
-        + np.einsum("ik,jl->ijkl", p, g)
-        + np.einsum("il,jk->ijkl", p, g)
-        + np.einsum("jk,il->ijkl", p, g)
-        + np.einsum("jl,ik->ijkl", p, g)
-        + np.einsum("kl,ij->ijkl", p, g)
-    ) / 7.0
-    a1 = a / 12.0 * (2.0 * g1 - g3 - g2)
-    a2 = decomp.a_from_delta(q)
     return s1 + s2 + r + a1 + a2
 
 

@@ -106,7 +106,7 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise ValueError(f"expected a 6x6 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("stiffness entries must be finite")
-    scale = max(float(np.abs(m).max()), 1.0)
+    scale = float(np.abs(m).max())
     asym = np.abs(m - m.T)
     if asym.max() > tol * scale:
         I, J = np.unravel_index(int(asym.argmax()), (6, 6))
@@ -167,7 +167,7 @@ def validate_symmetries(c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise ValueError("tolerance must be nonnegative")
     projected = symmetrize_orbit(c)
     corr = np.abs(c - projected)
-    scale = max(float(np.abs(c).max()), 1.0)
+    scale = float(np.abs(c).max())
     worst = float(corr.max())
     if worst > tol * scale:
         idx = np.unravel_index(int(corr.argmax()), c.shape)

@@ -142,7 +142,7 @@ class TestCoefficientMonotonicity:
 
 class TestEnergy:
     def test_isotropic_identity_strain(self):
-        report = energy(isotropic_stiffness(2.0, 1.0), np.eye(3))
+        report = energy(decompose(isotropic_stiffness(2.0, 1.0)), np.eye(3))
         # oracle: E = (9 lam + 6 mu) / 2
         assert report.total == pytest.approx(12.0, abs=1e-12)
         assert report.compression == pytest.approx(12.0, abs=1e-12)
@@ -152,7 +152,7 @@ class TestEnergy:
         assert report.shear == pytest.approx(0.0, abs=1e-13)
 
     def test_zero_strain(self, rng):
-        report = energy(random_stiffness(rng), np.zeros((3, 3)))
+        report = energy(decompose(random_stiffness(rng)), np.zeros((3, 3)))
         assert report.total == 0.0
         assert report.compression == 0.0
         assert report.mixed == 0.0
@@ -160,14 +160,14 @@ class TestEnergy:
 
     def test_cubic_mixed_energy_vanishes(self, rng):
         eps = random_symmetric3(rng)
-        report = energy(W, eps)
+        report = energy(decompose(W), eps)
         assert report.mixed == pytest.approx(0.0, abs=1e-12)
 
     def test_closure_and_attribution(self, rng):
         for _ in range(200):
             c = random_stiffness(rng)
             eps = random_symmetric3(rng)
-            r = energy(c, eps)
+            r = energy(decompose(c), eps)
             scale = max(abs(r.total), 1e-300)
             assert r.total == pytest.approx(
                 r.compression + r.mixed + r.shear, abs=1e-12 * scale)
@@ -179,7 +179,7 @@ class TestEnergy:
         c = random_stiffness(rng)
         eps = random_symmetric3(rng)
         via_stress = 0.5 * float(np.einsum("ij,ij->", hooke_full(c, eps), eps))
-        assert energy(c, eps).total == pytest.approx(via_stress, rel=1e-12)
+        assert energy(decompose(c), eps).total == pytest.approx(via_stress, rel=1e-12)
 
 
 class TestStabilityBounds:

@@ -82,7 +82,7 @@ class TestSASplit:
     def test_equal_lame_moduli_mean_full_cauchy(self):
         parts = sa_split(isotropic_stiffness(1.0, 1.0))
         assert frobenius_norm4(parts.a) <= 1e-14
-        assert classify(isotropic_stiffness(1.0, 1.0)).full_cauchy
+        assert classify(decompose(isotropic_stiffness(1.0, 1.0))).full_cauchy
 
     def test_fully_symmetric_input_is_fixed_point(self, rng):
         s0 = sa_split(random_stiffness(rng)).s
@@ -267,29 +267,42 @@ class TestCauchyFactor:
         with pytest.raises(ValueError):
             cauchy_factor(np.zeros((3, 3, 3, 3)))
 
+    def test_classification_carries_the_same_factor(self, rng):
+        for c in (W, isotropic_stiffness(2.0, 1.0), random_stiffness(rng)):
+            assert classify(decompose(c)).cauchy_factor == cauchy_factor(c)
+
+    @pytest.mark.parametrize("c", [isotropic_stiffness(0.1, 0.1),
+                                   cubic_stiffness(0.3, 0.1, 0.1)])
+    def test_exactly_cauchy_input(self, c):
+        # lam = mu: the non-Cauchy part is rounding noise, whose cyclic sum is
+        # as large as the noise itself
+        assert cauchy_factor(c) == pytest.approx(1.0, abs=1e-15)
+        cls = classify(decompose(c))
+        assert cls.full_cauchy and cls.a_sign == "zero-within-tol"
+
 
 class TestClassify:
     @pytest.mark.parametrize("name,constants", sorted(POSITIVE_CLASS.items()))
     def test_positive_class(self, name, constants):
-        cls = classify(cubic_stiffness(*constants))
+        cls = classify(decompose(cubic_stiffness(*constants)))
         assert cls.a_sign == "positive"
         assert cls.partial_cauchy and not cls.full_cauchy
 
     @pytest.mark.parametrize("name,constants", sorted(NEGATIVE_CLASS.items()))
     def test_negative_class(self, name, constants):
-        cls = classify(cubic_stiffness(*constants))
+        cls = classify(decompose(cubic_stiffness(*constants)))
         assert cls.a_sign == "negative"
         assert cls.partial_cauchy and not cls.full_cauchy
 
     def test_full_cauchy_isotropic(self):
-        cls = classify(isotropic_stiffness(1.0, 1.0))
+        cls = classify(decompose(isotropic_stiffness(1.0, 1.0)))
         assert cls.full_cauchy
         assert cls.partial_cauchy
         assert cls.a_sign == "zero-within-tol"
         assert cls.cauchy_factor == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_invariants_reported(self, rng):
-        cls = classify(random_stiffness(rng))
+        cls = classify(decompose(random_stiffness(rng)))
         parts = decompose(random_stiffness(rng))
         assert set(cls.quadratic_invariants) == {"p_norm", "q_norm", "r_norm"}
         assert all(v >= 0 for v in cls.quadratic_invariants.values())

@@ -14,12 +14,15 @@ from cauchykit.materials import (
     load_material,
     material_from_dict,
 )
+from cauchykit import decomp
 from cauchykit.report import (
+    classification_report,
     decomposition_report,
     dump_json,
+    energy_report,
     reconstruct_stiffness,
 )
-from cauchykit.tensor_core import full_to_voigt
+from cauchykit.tensor_core import cubic_stiffness, full_to_voigt
 
 EXPECTED_SIGNS = {
     "alsb": "positive", "inp": "positive", "inas": "positive",
@@ -55,7 +58,7 @@ class TestLoadMaterial:
         assert len(list_bundled()) == 10
         for key in list_bundled():
             record = bundled_material(key)
-            assert classify(record.stiffness()).a_sign == EXPECTED_SIGNS[key], key
+            assert classify(decompose(record.stiffness())).a_sign == EXPECTED_SIGNS[key], key
 
     def test_asymmetric_voigt_rejected_with_pair(self):
         voigt = np.diag([3.0] * 3 + [1.0] * 3)
@@ -180,6 +183,35 @@ class TestLoadMaterial:
         with pytest.raises(MaterialError, match="finite"):
             load_material(write_material(tmp_path, doc))
 
+    @pytest.mark.parametrize("flat", [False, True], ids=["6x6", "upper-triangle"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, flat):
+        voigt = np.diag([3.0] * 3 + [1.0] * 3)
+        payload = voigt[np.triu_indices(6)].tolist() if flat else voigt.tolist()
+        if flat:
+            payload[0] = 10**400
+        else:
+            payload[0][0] = 10**400
+        doc = material_doc(voigt=payload)
+        with pytest.raises(MaterialError, match="finite"):
+            material_from_dict(doc)
+        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_asymmetry_tolerance_is_relative(self, scale):
+        voigt = full_to_voigt(cubic_stiffness(0.02, 0.01, 0.005)) * scale
+        voigt[0, 1] += 5e-9 * scale  # 25 times the 1e-8 relative tolerance
+        with pytest.raises(MaterialError, match="asymmetric"):
+            material_from_dict(material_doc(voigt=voigt.tolist()))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_crystal_system_tolerance_is_relative(self, scale):
+        voigt = full_to_voigt(cubic_stiffness(0.02, 0.01, 0.005)) * scale
+        voigt[0, 0] += 5e-7 * scale  # 25 times the 1e-6 relative tolerance
+        record = material_from_dict(
+            material_doc(voigt=voigt.tolist(), crystal_system="cubic"))
+        assert any("C11, C22, C33" in w for w in record.warnings)
+
     def test_mbar_converts_to_gpa(self):
         record = bundled_material("w")
         c = record.stiffness_gpa()
@@ -231,6 +263,25 @@ class TestReports:
         report = decomposition_report(record)
         c2 = reconstruct_stiffness(report["decomposition"])
         assert np.allclose(full_to_voigt(c2), voigt, atol=1e-13)
+
+    @pytest.mark.parametrize("build", [
+        decomposition_report,
+        classification_report,
+        lambda record: energy_report(record, 1e-3 * np.eye(3)),
+    ], ids=["decomposition", "classification", "energy"])
+    def test_each_report_decomposes_once(self, monkeypatch, build):
+        calls = {"sa_split": 0, "so3_refine": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(decomp, name, counted(name, getattr(decomp, name)))
+        build(bundled_material("w"))
+        assert calls == {"sa_split": 1, "so3_refine": 1}
 
     def test_decomposition_block_contents(self):
         report = decomposition_report(bundled_material("w"))
@@ -287,6 +338,23 @@ class TestCli:
         path = write_material(tmp_path, material_doc())
         result = CliRunner().invoke(main, ["energy", path, "--strain", "1,2,3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("with_json", [False, True], ids=["text", "json"])
+    def test_energy_non_finite_strain_exits_2(self, tmp_path, w_file, bad, with_json):
+        out = tmp_path / "energy.json"
+        args = (["--json", str(out)] if with_json else []) + [
+            "energy", w_file, "--strain", f"{bad},0,0,0,0,0"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "must be finite" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_tol_must_be_finite(self, w_file, bad):
+        result = CliRunner().invoke(main, ["--tol", bad, "classify", w_file])
+        assert result.exit_code == 2
+        assert "--tol must be finite and nonnegative" in result.output
 
     def test_acoustics_single_direction(self, w_file):
         result = CliRunner().invoke(

@@ -127,6 +127,29 @@ class TestValidateSymmetries:
             validate_symmetries(np.zeros((3, 3, 3, 3)), tol=-1.0)
 
 
+class TestRelativeTolerance:
+    """A stiffness 0.02 (say in Mbar) gets the same 1e-8 relative asymmetry
+    tolerance as the same material at 1000 times the scale."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_voigt_asymmetry_is_relative_to_the_largest_entry(self, scale):
+        m = full_to_voigt(cubic_stiffness(0.02, 0.01, 0.005)) * scale
+        m[0, 1] += 1e-11 * scale  # 5e-10 of the largest entry
+        voigt_to_full(m)
+        m[0, 1] += 5e-9 * scale  # 2.5e-7 of the largest entry
+        with pytest.raises(SymmetryViolation):
+            voigt_to_full(m)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_tensor_asymmetry_is_relative_to_the_largest_entry(self, scale):
+        c = cubic_stiffness(0.02, 0.01, 0.005) * scale
+        c[0, 0, 1, 1] += 1e-11 * scale
+        validate_symmetries(c)
+        c[0, 0, 1, 1] += 5e-9 * scale
+        with pytest.raises(SymmetryViolation):
+            validate_symmetries(c)
+
+
 class TestLeviCivita:
     def test_values(self):
         for i, j, k in itertools.product(range(3), repeat=3):
