@@ -16,16 +16,22 @@ contracts it with every direction in one matrix product and solves all ``N``
 eigenproblems in one stacked LAPACK call; row ``i`` of a batched result
 depends on ``n[i]`` alone.  The single-direction form is the batch of one
 with the leading axis dropped.
+
+Only the pure-mode search, :func:`find_pure_longitudinal`, uses scipy
+(``scipy.optimize.minimize`` and ``scipy.spatial.cKDTree``).  Both are loaded
+on their first use, so importing this module, and every other result in the
+package, needs numpy alone.  The two names still resolve as attributes of this
+module, and a rebinding of either (a wrapper or a test double) is what the
+search then calls.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from .decomp import IrreducibleParts, sa_split
 from .tensor_core import (
@@ -61,6 +67,25 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 PURITY_TOL = 1e-8
 _DEDUP_ANGLE = math.radians(0.5)
+_SCIPY_HOMES = {"minimize": "scipy.optimize", "cKDTree": "scipy.spatial"}
+
+
+def _scipy(name: str):
+    """The scipy callable ``name``, imported and bound here on first use.
+
+    A binding already in the module globals wins, so a wrapper set with
+    ``setattr(acoustics, name, ...)`` is the one the search calls.
+    """
+    namespace = globals()
+    if name not in namespace:
+        namespace[name] = getattr(importlib.import_module(_SCIPY_HOMES[name]), name)
+    return namespace[name]
+
+
+def __getattr__(name: str):
+    if name in _SCIPY_HOMES:
+        return _scipy(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -344,7 +369,7 @@ def find_pure_longitudinal(
             v /= np.linalg.norm(v)
             return _residual_field(s_part, v[None, :], rho)[0]
 
-        result = minimize(
+        result = _scipy("minimize")(
             objective,
             np.zeros(2),
             method="Nelder-Mead",
@@ -394,7 +419,7 @@ def _local_minima(seeds: np.ndarray, residuals: np.ndarray) -> list[int]:
     plus the globally best few as insurance near saddle ridges."""
     spacing = math.sqrt(4.0 * math.pi / len(seeds))
     radius = 2.5 * spacing  # chord length ~ angle for small angles
-    tree = cKDTree(seeds)
+    tree = _scipy("cKDTree")(seeds)
     neighborhoods = tree.query_ball_point(seeds, r=radius)
     minima = [
         i

@@ -97,7 +97,7 @@ def _sym3(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3, 3):
         raise ValueError(f"expected a 3x3 tensor, got shape {x.shape}")
-    if np.abs(x - x.T).max() > 1e-12 * max(1.0, float(np.abs(x).max())):
+    if np.abs(x - x.T).max() > 1e-12 * float(np.abs(x).max()):
         raise ValueError("tensor must be symmetric")
     return 0.5 * (x + x.T)
 

@@ -151,6 +151,7 @@ def _voigt_from_payload(payload, where: str) -> np.ndarray:
         f"got shape {m.shape}",
     )
     _require(bool(np.isfinite(m).all()), f"{where}: voigt entries must be finite")
+    _require(bool(m.any()), f"{where}: voigt matrix must not be all zero")
     asym = np.abs(m - m.T)
     if asym.max() > 0:
         scale = float(np.abs(m).max())
@@ -294,8 +295,8 @@ def load_material(path, strict: bool = False, tol: float = 1e-6) -> MaterialReco
     Raises ``OSError`` for I/O problems, ``json.JSONDecodeError`` (which
     carries line/column) for malformed JSON, and :class:`MaterialError` for
     semantic problems: schema violations, asymmetric Voigt input (reported
-    with the offending one-based pair), unknown unit strings, and (in strict
-    mode) unknown fields.
+    with the offending one-based pair), an all-zero Voigt matrix, unknown unit
+    strings, and (in strict mode) unknown fields.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

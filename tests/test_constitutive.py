@@ -56,6 +56,12 @@ class TestSplits:
         with pytest.raises(ValueError):
             split_strain(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0])
+    def test_asymmetry_tolerance_is_relative(self, scale):
+        eps = scale * np.array([[0.0, 1.0, 0], [1.0005, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            split_strain(eps)  # 5e-4 relative asymmetry at every scale
+
 
 class TestHookeFull:
     def test_isotropic_identity_strain(self):

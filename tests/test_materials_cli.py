@@ -197,6 +197,15 @@ class TestLoadMaterial:
         result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize("flat", [False, True], ids=["6x6", "upper-triangle"])
+    def test_all_zero_voigt_rejected(self, tmp_path, flat):
+        doc = material_doc(voigt=[0] * 21 if flat else np.zeros((6, 6)).tolist())
+        with pytest.raises(MaterialError, match="all zero"):
+            material_from_dict(doc)
+        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        assert result.exit_code == 2, result.output
+        assert "all zero" in result.output
+
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_asymmetry_tolerance_is_relative(self, scale):
         voigt = full_to_voigt(cubic_stiffness(0.02, 0.01, 0.005)) * scale
