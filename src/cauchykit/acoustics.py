@@ -17,12 +17,12 @@ eigenproblems in one stacked LAPACK call; row ``i`` of a batched result
 depends on ``n[i]`` alone.  The single-direction form is the batch of one
 with the leading axis dropped.
 
-Only the pure-mode search, :func:`find_pure_longitudinal`, uses scipy
-(``scipy.optimize.minimize`` and ``scipy.spatial.cKDTree``).  Both are loaded
-on their first use, so importing this module, and every other result in the
-package, needs numpy alone.  The two names still resolve as attributes of this
-module, and a rebinding of either (a wrapper or a test double) is what the
-search then calls.
+The pure-longitudinal directions are the critical points of ``f(n) = s:nnnn``
+on the projective plane; :func:`find_pure_longitudinal` finds them by Newton's
+method and certifies the set by its Euler characteristic.  A *family* hit has
+a singular tangent Hessian, as on a continuous ring or cone of pure directions
+(a transversely isotropic Cauchy part has them); the certificate does not
+apply there.  No result in this module uses scipy.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .tensor_core import (
     degenerate_pairs,
     eig_sym3,
     frobenius_norm2,
+    frobenius_norm4,
     unit_vector,
 )
 
@@ -66,25 +67,24 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-9
 PURITY_TOL = 1e-8
-_DEDUP_ANGLE = math.radians(0.5)
+_FAMILY_MERGE = 2.0 * math.sin(math.radians(0.25))  # chord of 0.5 degrees
+_POINT_MERGE = 1e-7  # chord; isolated hits closer than this are one point
+_NEWTON_SEEDS = 100
+_NEWTON_ITERATIONS = 50
+_NEWTON_STEP_CAP = 0.3  # radians
+_NEWTON_STEP_TOL = 1e-9  # radians; a seed whose last step was longer has not converged
+_FLAT_TOL = 1e-10  # relative to ||s||: no Newton step along a flatter direction
+_FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
+
+# Nothing in the library calls scipy.  perfbench/tracing.py still reads
+# ``acoustics.minimize`` and ``acoustics.cKDTree``, so those names resolve here,
+# importing scipy on that read; delete both with the tracer's next version.
 _SCIPY_HOMES = {"minimize": "scipy.optimize", "cKDTree": "scipy.spatial"}
-
-
-def _scipy(name: str):
-    """The scipy callable ``name``, imported and bound here on first use.
-
-    A binding already in the module globals wins, so a wrapper set with
-    ``setattr(acoustics, name, ...)`` is the one the search calls.
-    """
-    namespace = globals()
-    if name not in namespace:
-        namespace[name] = getattr(importlib.import_module(_SCIPY_HOMES[name]), name)
-    return namespace[name]
 
 
 def __getattr__(name: str):
     if name in _SCIPY_HOMES:
-        return _scipy(name)
+        return getattr(importlib.import_module(_SCIPY_HOMES[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -133,26 +133,41 @@ class WaveSolution:
 
 @dataclass(frozen=True)
 class PureModeHit:
-    """A direction supporting an exactly or nearly pure wave.
+    """A direction supporting a pure longitudinal wave.
 
-    ``velocity`` is ``sqrt(s:nnnn / rho)``, or NaN where ``s:nnnn <= 0`` (a
-    non-causal longitudinal mode).
+    ``kind`` is its Morse type as a critical point of ``s:nnnn``: ``"max"``,
+    ``"min"``, ``"saddle"``, ``"family"`` (singular tangent Hessian) or None.
+    ``velocity`` is ``sqrt(s:nnnn / rho)``, or NaN where ``s:nnnn <= 0``.
     """
 
     direction: np.ndarray
-    kind: str
     residual: float
     velocity: float
     seed_index: int
+    kind: str | None = None
 
 
 @dataclass(frozen=True)
 class PureModeScan:
-    """Result of a pure-mode search over the direction sphere."""
+    """Result of a pure-mode search; ``seeds`` is the Newton seed count used."""
 
     hits: tuple[PureModeHit, ...]
     all_directions_pure: bool
     seeds: int
+
+    @property
+    def morse(self) -> dict[str, int]:
+        """Hit counts by ``kind``: ``max``, ``min``, ``saddle``, ``family``."""
+        return {k: sum(h.kind == k for h in self.hits) for k in ("max", "min", "saddle", "family")}
+
+    @property
+    def certified(self) -> bool | None:
+        """Whether ``#max + #min - #saddle = 1``: no pure direction was missed.
+        None where a family is present or every direction is pure."""
+        m = self.morse
+        if self.all_directions_pure or m["family"]:
+            return None
+        return m["max"] + m["min"] - m["saddle"] == 1
 
 
 @dataclass(frozen=True)
@@ -282,12 +297,16 @@ def pure_longitudinal_residual(bundle: ChristoffelBundle) -> float:
     condition for one pure longitudinal plus two pure shear waves.  A
     batched bundle gives an array ``(N,)``.
     """
-    n = bundle.direction
-    sn = np.einsum("...il,...l->...i", bundle.cauchy, n)
+    out = _purity(bundle.cauchy, bundle.direction)
+    return float(out) if out.ndim == 0 else out
+
+
+def _purity(cauchy: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # invariant under scaling ``cauchy``, so the density may be left out
+    sn = np.einsum("...il,...l->...i", cauchy, n)
     residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
-    scale = np.linalg.norm(bundle.cauchy, axis=(-2, -1))
-    out = np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
-    return float(out) if n.ndim == 1 else out
+    scale = np.linalg.norm(cauchy, axis=(-2, -1))
+    return np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -314,120 +333,101 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
     return n + 0.0  # clears negative zeros for stable text output
 
 
-def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pivot = np.zeros(3)
-    pivot[int(np.abs(n).argmin())] = 1.0
-    e1 = np.cross(n, pivot)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(n, e1)
-
-
-def _residual_field(s_part: np.ndarray, dirs: np.ndarray, rho: float) -> np.ndarray:
-    sc = np.einsum("ijkl,nj,nk->nil", s_part, dirs, dirs) / rho
-    sn = np.einsum("nil,nl->ni", sc, dirs)
-    ray = np.einsum("ni,ni->n", sn, dirs)
-    res = sn - ray[:, None] * dirs
-    scale = np.sqrt(np.einsum("nil,nil->n", sc, sc))
-    scale[scale == 0.0] = 1.0
-    return np.linalg.norm(res, axis=1) / scale
-
-
 def find_pure_longitudinal(
     c: np.ndarray,
     rho: float,
     grid_n: int = 20000,
     tol: float = PURITY_TOL,
 ) -> PureModeScan:
-    """Search the direction sphere for pure longitudinal-wave directions.
+    """Find every pure longitudinal-wave direction: the critical points of
+    ``f(n) = s:nnnn`` on the projective plane, ``s`` the Cauchy part of ``c``.
 
-    Seeds a golden-angle lattice of ``grid_n`` directions (at least 100),
-    keeps local minima of the purity residual, polishes each candidate with a
-    derivative-free simplex over two tangent angles (200 iterations,
-    convergence 1e-12 on the residual), and reports refined directions with
-    residual at most ``tol``.  Antipodes are identified and hits closer than
-    0.5 degrees are merged; output order follows the seed lattice index.
-
-    If the residual is below ``tol`` on every seed (isotropic Cauchy part),
-    the scan short-circuits with ``all_directions_pure=True``.
+    A batched Riemannian Newton solve runs from 100 golden-angle seeds; each
+    step solves the 2x2 tangent-Hessian system, skipping directions flatter
+    than ``1e-10 ||s||``, and is capped at 0.3 rad.  Converged points with
+    purity residual at most ``tol`` are kept, labelled by the signs of their
+    tangent-Hessian eigenvalues and merged within 1e-7 rad (0.5 degrees for two
+    ``family`` points; antipodes identified; the lowest residual wins), in seed
+    order.  While ``certified`` is False the seeds double up to ``grid_n``; a
+    residual at most ``tol`` on every seed gives ``all_directions_pure=True``.
     """
-    if grid_n < 100:
+    if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
     rho = check_density(rho)
-    c = np.asarray(c, dtype=float)
-    s_part = sa_split(c).s
-    seeds = fibonacci_sphere(grid_n)
-    residuals = _residual_field(s_part, seeds, rho)
-
-    if float(residuals.max()) <= tol:
-        return PureModeScan(hits=(), all_directions_pure=True, seeds=grid_n)
-
-    def refined(n0: np.ndarray) -> tuple[np.ndarray, float]:
-        e1, e2 = _tangent_frame(n0)
-
-        def objective(t):
-            v = n0 + t[0] * e1 + t[1] * e2
-            v /= np.linalg.norm(v)
-            return _residual_field(s_part, v[None, :], rho)[0]
-
-        result = _scipy("minimize")(
-            objective,
-            np.zeros(2),
-            method="Nelder-Mead",
-            options={"maxiter": 200, "xatol": 1e-12, "fatol": 1e-12},
-        )
-        v = n0 + result.x[0] * e1 + result.x[1] * e2
-        return v / np.linalg.norm(v), float(result.fun)
-
-    candidates = _local_minima(seeds, residuals)
-    hits: list[PureModeHit] = []
-    for idx in candidates:
-        direction, value = refined(seeds[idx])
-        if value > tol:
-            continue
-        direction = _canonical_direction(direction)
-        v_l2 = float(np.einsum(
-            "ijkl,j,k,i,l->", s_part, direction, direction, direction, direction
-        ) / rho)
-        v_l = math.sqrt(v_l2) if v_l2 > 0 else math.nan
-        hits.append(PureModeHit(
-            direction=direction,
-            kind="longitudinal",
-            residual=value,
-            velocity=v_l,
-            seed_index=int(idx),
-        ))
-
-    hits.sort(key=lambda h: h.seed_index)
-    deduped: list[PureModeHit] = []
-    for hit in hits:
-        replaced = False
-        for k, kept in enumerate(deduped):
-            cosine = min(1.0, abs(float(kept.direction @ hit.direction)))
-            if math.acos(cosine) <= _DEDUP_ANGLE:
-                if hit.residual < kept.residual:
-                    deduped[k] = hit
-                replaced = True
-                break
-        if not replaced:
-            deduped.append(hit)
-    deduped.sort(key=lambda h: h.seed_index)
-    return PureModeScan(hits=tuple(deduped), all_directions_pure=False, seeds=grid_n)
+    if not np.isfinite(c).all():
+        raise ValueError("stiffness tensor has a non-finite entry")
+    s = sa_split(np.asarray(c, dtype=float)).s
+    seeds = fibonacci_sphere(_NEWTON_SEEDS)
+    if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= tol:
+        return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
+    scan = _newton_search(s, rho, _NEWTON_SEEDS, tol)
+    while scan.certified is False and scan.seeds < grid_n:
+        scan = _newton_search(s, rho, min(2 * scan.seeds, grid_n), tol)
+    return scan
 
 
-def _local_minima(seeds: np.ndarray, residuals: np.ndarray) -> list[int]:
-    """Seed indices that beat all neighbors within ~2.5 lattice spacings,
-    plus the globally best few as insurance near saddle ridges."""
-    spacing = math.sqrt(4.0 * math.pi / len(seeds))
-    radius = 2.5 * spacing  # chord length ~ angle for small angles
-    tree = _scipy("cKDTree")(seeds)
-    neighborhoods = tree.query_ball_point(seeds, r=radius)
-    minima = [
-        i
-        for i, neigh in enumerate(neighborhoods)
-        if all(residuals[i] <= residuals[j] for j in neigh)
-    ]
-    best = np.argsort(residuals)[:40]
-    return sorted(set(minima) | set(int(b) for b in best))
+def _local_model(s: np.ndarray, n: np.ndarray):
+    """``f = s:nnnn``, ``s . nn``, a tangent frame ``(N, 3, 2)``, and the
+    tangent gradient and Hessian of ``f / 4`` at every row of ``n``."""
+    sc = np.tensordot(np.einsum("ni,nj->nij", n, n), s, axes=2)
+    snnn = np.einsum("nij,nj->ni", sc, n)
+    f = np.einsum("ni,ni->n", snnn, n)
+    e1 = np.cross(n, np.eye(3)[np.abs(n).argmin(axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    frame = np.stack([e1, np.cross(n, e1)], axis=2)
+    grad = np.einsum("nia,ni->na", frame, snnn)
+    hess = 3.0 * np.swapaxes(frame, 1, 2) @ sc @ frame - f[:, None, None] * np.eye(2)
+    return f, sc, frame, grad, hess
+
+
+def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigen solution of symmetric 2x2 matrices ``(N, 2, 2)``:
+    values ``(N, 2)`` descending, ``vectors[:, k]`` the unit vector of value k."""
+    half, mean = 0.5 * (h[:, 0, 0] - h[:, 1, 1]), 0.5 * (h[:, 0, 0] + h[:, 1, 1])
+    radius, angle = np.hypot(half, h[:, 0, 1]), 0.5 * np.arctan2(h[:, 0, 1], half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    vectors = np.stack([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)], axis=1)
+    return np.stack([mean + radius, mean - radius], axis=1), vectors
+
+
+def _newton_search(s: np.ndarray, rho: float, count: int, tol: float) -> PureModeScan:
+    """One batched Newton solve from ``count`` seeds."""
+    scale = frobenius_norm4(s)
+    n = fibonacci_sphere(count)
+    for _ in range(_NEWTON_ITERATIONS):
+        _f, _sc, frame, grad, hess = _local_model(s, n)
+        values, vectors = _eig2(hess)
+        inverse = np.divide(1.0, values, out=np.zeros_like(values),
+                            where=np.abs(values) > _FLAT_TOL * scale)
+        step = -np.einsum("nk,nkc->nc", np.einsum("nkc,nc->nk", vectors, grad) * inverse,
+                          vectors)
+        length = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, _NEWTON_STEP_CAP / np.maximum(length, 1e-300))[:, None]
+        n = n + np.einsum("nia,na->ni", frame, step)
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        if length.max() <= _NEWTON_STEP_TOL:
+            break
+
+    f, sc, _frame, _grad, hess = _local_model(s, n)
+    residual = _purity(sc, n)
+    kept = np.flatnonzero((length <= _NEWTON_STEP_TOL) & (residual <= tol))
+    kept = kept[np.argsort(residual[kept], kind="stable")]
+    values = _eig2(hess[kept])[0]
+    family = np.abs(values).min(axis=1) <= _FAMILY_TOL * scale
+    kinds = np.where(family, "family", np.where(
+        values[:, 0] < 0, "max", np.where(values[:, 1] > 0, "min", "saddle")))
+    points, alive, winners = n[kept], np.ones(len(kept), dtype=bool), []
+    while alive.any():  # the lowest residual left claims the points it merges
+        k = int(alive.argmax())
+        winners.append(k)
+        gap = np.minimum(np.linalg.norm(points - points[k], axis=1),
+                         np.linalg.norm(points + points[k], axis=1))
+        alive &= gap > np.where(family & family[k], _FAMILY_MERGE, _POINT_MERGE)
+    hits = tuple(
+        PureModeHit(_canonical_direction(n[i]), float(residual[i]),
+                    math.sqrt(f[i] / rho) if f[i] > 0 else math.nan, int(i), str(kind))
+        for i, kind in sorted(zip(kept[winners], kinds[winners])))  # seed order
+    return PureModeScan(hits=hits, all_directions_pure=False, seeds=count)
 
 
 def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray | None:

@@ -207,7 +207,12 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
         if pm["all_directions_pure"]:
             click.echo("pure longitudinal: all directions pure")
         else:
-            click.echo(f"pure longitudinal directions: {len(pm['hits'])}")
+            m = pm["morse"]
+            certified = {True: "certified", False: "NOT certified",
+                         None: "certificate not applicable"}[pm["certified"]]
+            click.echo(f"pure longitudinal directions: {len(pm['hits'])} "
+                       f"({m['max']} max, {m['min']} min, {m['saddle']} saddle, "
+                       f"{m['family']} family; {certified})")
             for h in pm["hits"]:
                 d = h["direction"]
                 v_l = h["velocity_km_s"]
@@ -215,7 +220,7 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
                 v_l = "nan" if v_l is None else f"{v_l:.6f}"
                 click.echo(f"  ({d[0]:+.6f}, {d[1]:+.6f}, {d[2]:+.6f})  "
                            f"v_L = {v_l} km/s  "
-                           f"residual {h['residual']:.2e}{flag}")
+                           f"residual {h['residual']:.2e}  {h['kind']}{flag}")
 
     if csv_path:
         try:

@@ -192,7 +192,9 @@ def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     ``delta[m,n] = (1/3) eps[m,i,l] eps[n,j,k] a[i,j,k,l]``.  The input must
     satisfy the cyclic identity of the non-Cauchy class; if it deviates beyond
     ``tol`` (relative to its own norm) the representation would be lossy and
-    the input is rejected.
+    the input is rejected.  The non-Cauchy part of an exactly Cauchy tensor is
+    rounding noise and may be rejected; callers holding the full tensor ``c``
+    should read ``decompose(c).delta`` instead.
     """
     a = np.asarray(a, dtype=float)
     scale = frobenius_norm4(a)

@@ -226,12 +226,16 @@ def acoustics_report(
         }
 
     if pure_modes:
-        result = ac.find_pure_longitudinal(c_gpa, rho_g_cm3, grid_n=scan or 20000)
+        result = ac.find_pure_longitudinal(c_gpa, rho_g_cm3)
         block["pure_longitudinal"] = {
             "all_directions_pure": result.all_directions_pure,
+            "seeds": result.seeds,
+            "morse": result.morse,
+            "certified": result.certified,
             "hits": [
                 {
                     "direction": h.direction.tolist(),
+                    "kind": h.kind,
                     "residual": float(h.residual),
                     # null marks a non-causal hit (JSON has no NaN)
                     "velocity_km_s": (

@@ -402,6 +402,88 @@ class TestPureLongitudinal:
             find_pure_longitudinal(W, 1.0, grid_n=50)
 
 
+def orthorhombic_voigt(c11, c22, c33, c12, c13, c23, c44, c55, c66):
+    m = np.diag([c11, c22, c33, c44, c55, c66])
+    m[0, 1] = m[1, 0] = c12
+    m[0, 2] = m[2, 0] = c13
+    m[1, 2] = m[2, 1] = c23
+    return m
+
+
+class TestPureModeCertificate:
+    """The Morse labels of the hits and the Euler-characteristic certificate
+    ``#max + #min - #saddle = 1`` of the projective plane."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+    def test_cubic_morse_counts(self, scale):
+        scan = find_pure_longitudinal(W * scale, 1.0)
+        assert scan.morse == {"max": 4, "min": 3, "saddle": 6, "family": 0}
+        assert scan.certified is True
+        assert scan.seeds == 100  # no doubling was needed
+        kinds = {}
+        for hit in scan.hits:
+            zeros = int(np.count_nonzero(hit.direction == 0.0))
+            kinds.setdefault(zeros, set()).add(hit.kind)
+        # axes, face diagonals and body diagonals of tungsten
+        assert kinds == {2: {"min"}, 1: {"saddle"}, 0: {"max"}}
+
+    def test_near_hexagonal_finds_all_seven(self):
+        # a transversely isotropic tensor with a 4e-6 triclinic perturbation
+        # has seven isolated pure directions: the axis, two basal points and
+        # four points on a cone at 31.5 degrees
+        h = voigt_to_full(hexagonal_voigt(400.0, 140.0, 120.0, 350.0, 100.0))
+        rng = np.random.default_rng(1)
+        t = voigt_to_full(random_spd_voigt(rng) * rng.uniform(80.0, 200.0))
+        scan = find_pure_longitudinal(h + 1e-4 * 4 / 100 * t, 4.0)
+        assert len(scan.hits) == 7
+        assert scan.morse == {"max": 2, "min": 2, "saddle": 3, "family": 0}
+        assert scan.certified is True
+        s_part = sa_split(h + 1e-4 * 4 / 100 * t).s
+        for hit in scan.hits:
+            bundle = christoffel(s_part, hit.direction, 4.0)
+            assert pure_longitudinal_residual(bundle) <= 1e-12
+
+    def test_family_is_flagged_and_not_certified(self):
+        base = voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
+        scan = find_pure_longitudinal(base, 1.0)
+        ring = [h for h in scan.hits if abs(h.direction[2]) < 1e-8]
+        assert ring and all(h.kind == "family" for h in ring)
+        assert scan.morse["family"] >= len(ring)
+        assert scan.certified is None
+        assert scan.seeds == 100  # a family stops the doubling
+
+    @pytest.mark.parametrize("c44", [59.99, 59.999, 59.9999])
+    def test_close_critical_points_are_kept_apart(self, c44):
+        # just past a pitchfork at the z axis two minima lie 1.1, 0.36 and
+        # 0.11 degrees either side of the axis saddle; a 0.5-degree merge
+        # would fold them into it and break the certificate
+        c = voigt_to_full(orthorhombic_voigt(
+            300.0, 250.0, 200.0, 100.0, 90.0, 80.0, c44, 70.0, 80.0))
+        scan = find_pure_longitudinal(c, 1.0)
+        assert scan.morse == {"max": 1, "min": 2, "saddle": 2, "family": 0}
+        assert scan.certified is True
+        assert scan.seeds == 100
+        axis = [h for h in scan.hits if abs(h.direction[2] - 1.0) < 1e-12]
+        assert [h.kind for h in axis] == ["saddle"]
+
+    def test_failed_certificate_is_reported_at_the_seed_cap(self):
+        # no residual meets a tolerance of 1e-20, so every seed count fails
+        # the certificate and the seeds double 100 -> 200 -> 300
+        c = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
+        assert find_pure_longitudinal(c, 1.0).certified is True
+        scan = find_pure_longitudinal(c, 1.0, grid_n=300, tol=1e-20)
+        assert scan.hits == ()
+        assert scan.certified is False
+        assert scan.seeds == 300
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stiffness_rejected(self, bad):
+        c = W.copy()
+        c[0, 1, 2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            find_pure_longitudinal(c, 1.0)
+
+
 class TestShearPolarization:
     def test_along_z_characterized_by_double_orthogonality(self, rng):
         # the defining system says U is orthogonal to both n and the Cauchy

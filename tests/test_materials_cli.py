@@ -454,6 +454,26 @@ class TestCli:
         assert len(flagged) == velocities.count(None)
         assert all("v_L = nan km/s" in line for line in flagged)
 
+    def test_acoustics_pure_modes_independent_of_scan(self, tmp_path, w_file):
+        blocks = []
+        for scan in (["--scan", "200"], []):
+            out = tmp_path / "report.json"
+            result = CliRunner().invoke(
+                main, ["--json", str(out), "acoustics", w_file, "--density", "19.25",
+                       *scan, "--pure-modes"])
+            assert result.exit_code == 0, result.output
+            assert "pure longitudinal directions: 13 (4 max, 3 min, 6 saddle, " \
+                   "0 family; certified)" in result.output
+            blocks.append(json.dumps(json.loads(out.read_text(encoding="utf-8"))[
+                "acoustics"]["pure_longitudinal"]))
+        assert blocks[0] == blocks[1]
+        block = json.loads(blocks[0])
+        assert list(block) == ["all_directions_pure", "seeds", "morse", "certified", "hits"]
+        assert block["seeds"] == 100 and block["certified"] is True
+        assert block["morse"] == {"max": 4, "min": 3, "saddle": 6, "family": 0}
+        assert sorted(h["kind"] for h in block["hits"]) == ["max"] * 4 + ["min"] * 3 \
+            + ["saddle"] * 6
+
     def test_acoustics_pure_modes_isotropic(self, tmp_path):
         voigt = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],
                  [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]]
