@@ -204,7 +204,7 @@ def christoffel(c: np.ndarray, n, rho: float) -> ChristoffelBundle:
     """
     rho = check_density(rho)
     n = unit_vector(n)
-    parts = sa_split(np.asarray(c, dtype=float))
+    parts = sa_split(c)
     # one BLAS product contracts c[i,j,k,l] with n[j] n[k] for every direction
     nn = np.einsum("...j,...k->...jk", n, n)
     cauchy = np.tensordot(nn, parts.s, axes=([-2, -1], [1, 2])) / rho
@@ -354,9 +354,7 @@ def find_pure_longitudinal(
     if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
     rho = check_density(rho)
-    if not np.isfinite(c).all():
-        raise ValueError("stiffness tensor has a non-finite entry")
-    s = sa_split(np.asarray(c, dtype=float)).s
+    s = sa_split(c).s
     seeds = fibonacci_sphere(_NEWTON_SEEDS)
     if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= tol:
         return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
@@ -466,23 +464,18 @@ def shear_velocity(bundle: ChristoffelBundle, u) -> float:
 def shear_condition_residual(bundle: ChristoffelBundle) -> float:
     """Residual of the pure-shear condition along ``bundle.direction``.
 
-    With ``U = n x (cauchy . n)`` and ``v^2`` its Rayleigh quotient, returns
-    ``|| gamma . U - v^2 U || / (||gamma|| |U|)``: zero exactly when the
+    With ``U`` the unit :func:`shear_polarization`, returns
+    ``|| gamma . U - (U . gamma . U) U || / ||gamma||``: zero exactly when the
     candidate shear polarization really is an eigenvector of gamma.  A
-    longitudinal-pure direction (degenerate ``U``) returns 0, since the full
+    longitudinal-pure direction (no ``U``) returns 0, since the full
     three-pure-wave condition already holds there.
     """
-    n = bundle.direction
-    u = np.cross(n, bundle.cauchy @ n)
-    norm_u = float(np.linalg.norm(u))
+    u = shear_polarization(bundle)
     scale = frobenius_norm2(bundle.gamma)
-    if norm_u <= 1e-10 * max(frobenius_norm2(bundle.cauchy), 1e-300):
+    if u is None or scale == 0.0:
         return 0.0
-    v2 = float(u @ bundle.gamma @ u) / (norm_u * norm_u)
-    w = bundle.gamma @ u - v2 * u
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(w)) / (scale * norm_u)
+    w = bundle.gamma @ u
+    return float(np.linalg.norm(w - (u @ w) * u)) / scale
 
 
 def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # re-exported: decompose builds the IrreducibleParts the functions here take
-from .decomp import IrreducibleParts, assemble, decompose  # noqa: F401
+from .decomp import IrreducibleParts, decompose  # noqa: F401
 from .tensor_core import IDENTITY3, full_to_voigt
 
 __all__ = [
@@ -80,9 +80,9 @@ class BoundsReport:
     independently realizable; they are reported, never enforced.  For inputs
     whose deviators and harmonic part vanish (isotropic), the equivalent
     Poisson ratio and its classical window are reported too.
-    ``voigt_min_eigenvalue`` is the smallest eigenvalue of the 6x6 Voigt
-    matrix, a necessary-and-sufficient positivity diagnostic for the general
-    anisotropic case.
+    ``voigt_min_eigenvalue`` is the smallest eigenvalue of the material's own
+    6x6 Voigt matrix, a necessary-and-sufficient positivity diagnostic for
+    the general anisotropic case.
     """
 
     s_plus_a: float
@@ -250,7 +250,7 @@ def stability_bounds(parts: IrreducibleParts) -> BoundsReport:
             poisson = lam / denom
             poisson_ok = -1.0 < poisson < 0.5
 
-    voigt = full_to_voigt(assemble(parts))
+    voigt = full_to_voigt(parts.split.c)
     min_eig = float(np.linalg.eigvalsh(voigt).min())
 
     return BoundsReport(

@@ -106,8 +106,9 @@ class IrreducibleParts:
       ``delta``).
     * ``dev_q``: traceless part of ``delta``.
 
-    ``tensor_s1 .. tensor_a2`` are the five assembled rank-4 sub-tensors; they
-    are pairwise orthogonal and sum to the decomposed stiffness tensor.
+    ``tensor_s1``, ``tensor_s2``, ``harm_r``, ``tensor_a1`` and ``tensor_a2``
+    are the five assembled rank-4 sub-tensors; they are pairwise orthogonal
+    and sum to the decomposed stiffness tensor.
     ``split`` is the permutation split they were refined from (``split.c`` is
     the decomposed tensor) and ``delta`` the 3x3 form of its non-Cauchy part.
     """
@@ -121,13 +122,12 @@ class IrreducibleParts:
     dev_q: np.ndarray
     tensor_s1: np.ndarray
     tensor_s2: np.ndarray
-    tensor_s3: np.ndarray
     tensor_a1: np.ndarray
     tensor_a2: np.ndarray
 
     def __post_init__(self):
         names = ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1", "tensor_s2",
-                 "tensor_s3", "tensor_a1", "tensor_a2")
+                 "tensor_a1", "tensor_a2")
         for name, arr in zip(names, _frozen(*(getattr(self, n) for n in names))):
             object.__setattr__(self, name, arr)
 
@@ -179,9 +179,13 @@ def sa_split(c: np.ndarray) -> SAParts:
 
     ``s[i,j,k,l] = (c[i,j,k,l] + c[i,k,l,j] + c[i,l,j,k]) / 3`` is the full
     symmetrization (the three cyclic terms suffice given the minor and major
-    symmetries of the input); ``a = c - s`` is the remainder.
+    symmetries of the input); ``a = c - s`` is the remainder.  The
+    decomposition, the Christoffel tensor and the pure-mode search all start
+    here, so a non-finite entry is rejected here, with ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("stiffness tensor has a non-finite entry")
     s = (c + np.einsum("iklj->ijkl", c) + np.einsum("iljk->ijkl", c)) / 3.0
     return SAParts(c=c, s=s, a=c - s)
 
@@ -291,7 +295,6 @@ def so3_refine(parts: SAParts) -> IrreducibleParts:
         dev_q=dev_q,
         tensor_s1=s1,
         tensor_s2=s2,
-        tensor_s3=harm_r,
         tensor_a1=a1,
         tensor_a2=a2,
     )
@@ -307,7 +310,7 @@ def assemble(parts: IrreducibleParts) -> np.ndarray:
     return (
         parts.tensor_s1
         + parts.tensor_s2
-        + parts.tensor_s3
+        + parts.harm_r
         + parts.tensor_a1
         + parts.tensor_a2
     )

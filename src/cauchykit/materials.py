@@ -171,25 +171,19 @@ def _voigt_from_payload(payload, where: str) -> np.ndarray:
 _UPPER = [(i, j) for i in range(1, 7) for j in range(i, 7)]
 _CUBIC_EQ = [[(1, 1), (2, 2), (3, 3)], [(1, 2), (1, 3), (2, 3)],
              [(4, 4), (5, 5), (6, 6)]]
-_CUBIC_ZERO = [(i, j) for (i, j) in _UPPER if (i <= 3) != (j <= 3) or (i > 3 and i != j)]
 _HEX_EQ = [[(1, 1), (2, 2)], [(1, 3), (2, 3)], [(4, 4), (5, 5)]]
-_HEX_ZERO = [(i, j) for (i, j) in _UPPER if (i <= 3) != (j <= 3) or (i > 3 and i != j)]
-_TETRA_EQ = _HEX_EQ
-_TETRA_ZERO = [(i, j) for (i, j) in _HEX_ZERO if (i, j) != (1, 6) and (i, j) != (2, 6)]
-_TRIG_EQ = [[(1, 1), (2, 2)], [(1, 3), (2, 3)], [(4, 4), (5, 5)]]
-_TRIG_ZERO = [(i, j) for (i, j) in _UPPER
-              if ((i <= 3) != (j <= 3) or (i > 3 and i != j))
-              and (i, j) not in {(1, 4), (2, 4), (4, 4), (5, 6)}]
 _ORTHO_ZERO = [(i, j) for (i, j) in _UPPER if (i <= 3) != (j <= 3) or (i > 3 and i != j)]
+_TETRA_ZERO = [cell for cell in _ORTHO_ZERO if cell not in {(1, 6), (2, 6)}]
+_TRIG_ZERO = [cell for cell in _ORTHO_ZERO if cell not in {(1, 4), (2, 4), (5, 6)}]
 _MONO_ZERO = [(1, 4), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)]
 
 _SYSTEM_STRUCTURE: dict[str, tuple[list, list, list]] = {
-    "isotropic": (_CUBIC_EQ, _CUBIC_ZERO, [((4, 4), (1, 1), (1, 2))]),
-    "cubic": (_CUBIC_EQ, _CUBIC_ZERO, []),
-    "hexagonal": (_HEX_EQ, _HEX_ZERO, [((6, 6), (1, 1), (1, 2))]),
-    "trigonal": (_TRIG_EQ + [[(1, 4), (5, 6)]], _TRIG_ZERO,
+    "isotropic": (_CUBIC_EQ, _ORTHO_ZERO, [((4, 4), (1, 1), (1, 2))]),
+    "cubic": (_CUBIC_EQ, _ORTHO_ZERO, []),
+    "hexagonal": (_HEX_EQ, _ORTHO_ZERO, [((6, 6), (1, 1), (1, 2))]),
+    "trigonal": (_HEX_EQ + [[(1, 4), (5, 6)]], _TRIG_ZERO,
                  [((6, 6), (1, 1), (1, 2))]),
-    "tetragonal": (_TETRA_EQ, _TETRA_ZERO, []),
+    "tetragonal": (_HEX_EQ, _TETRA_ZERO, []),
     "orthorhombic": ([], _ORTHO_ZERO, []),
     "monoclinic": ([], _MONO_ZERO, []),
     "triclinic": ([], [], []),

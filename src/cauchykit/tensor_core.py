@@ -44,6 +44,10 @@ IDENTITY3 = np.eye(3)
 
 # Voigt index -> symmetric index pair, zero-based: 1=11, 2=22, 3=33, 4=23, 5=31, 6=12
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
+# and its inverse: tensor index pair, in either order -> Voigt index
+_VOIGT_INDEX = np.empty((3, 3), dtype=np.intp)
+_VOIGT_INDEX[tuple(np.array(VOIGT_PAIRS).T)] = np.arange(6)
+_VOIGT_INDEX.T[tuple(np.array(VOIGT_PAIRS).T)] = np.arange(6)
 
 
 def _levi_civita() -> np.ndarray:
@@ -111,27 +115,14 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     if asym.max() > tol * scale:
         I, J = np.unravel_index(int(asym.argmax()), (6, 6))
         raise SymmetryViolation((I + 1, J + 1, 0, 0), float(asym[I, J]), tol * scale)
-    m = 0.5 * (m + m.T)
-    c = np.empty((3, 3, 3, 3))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            v = m[I, J]
-            c[i, j, k, l] = v
-            c[j, i, k, l] = v
-            c[i, j, l, k] = v
-            c[j, i, l, k] = v
-    return c
+    return (0.5 * (m + m.T))[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX]
 
 
 def full_to_voigt(c: np.ndarray) -> np.ndarray:
     """Pack a stiffness tensor into its 6x6 Voigt matrix (exact inverse of
     :func:`voigt_to_full`)."""
-    c = np.asarray(c, dtype=float)
-    m = np.empty((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            m[I, J] = c[i, j, k, l]
-    return m
+    i, j = np.array(VOIGT_PAIRS).T
+    return np.asarray(c, dtype=float)[i[:, None], j[:, None], i, j]
 
 
 def symmetrize_orbit(c: np.ndarray) -> np.ndarray:

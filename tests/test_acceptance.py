@@ -85,7 +85,7 @@ def test_01_reconstruction_and_orthogonality(rng):
             worst_recon, frobenius_norm4(assemble(parts) - c) / norm_c
         )
         tensors = [
-            parts.tensor_s1, parts.tensor_s2, parts.tensor_s3,
+            parts.tensor_s1, parts.tensor_s2, parts.harm_r,
             parts.tensor_a1, parts.tensor_a2,
         ]
         flat = np.array([t.ravel() for t in tensors])
@@ -362,7 +362,7 @@ def test_10_rotation_equivariance(rng):
         for mine, reference in (
             (rotated.tensor_s1, rotate4(parts.tensor_s1, o)),
             (rotated.tensor_s2, rotate4(parts.tensor_s2, o)),
-            (rotated.tensor_s3, rotate4(parts.tensor_s3, o)),
+            (rotated.harm_r, rotate4(parts.harm_r, o)),
             (rotated.tensor_a1, rotate4(parts.tensor_a1, o)),
             (rotated.tensor_a2, rotate4(parts.tensor_a2, o)),
         ):

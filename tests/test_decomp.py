@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cauchykit.acoustics import christoffel
 from cauchykit.decomp import (
     a_from_delta,
     assemble,
@@ -105,6 +106,22 @@ class TestSASplit:
         assert 2 * np.trace(d) == pytest.approx(4 * diff, abs=1e-12)
 
 
+class TestNonFiniteStiffness:
+    # the decomposition and the Christoffel tensor start at sa_split, which rejects it
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("entry", ["sa_split", "decompose", "christoffel"])
+    def test_rejected(self, bad, entry):
+        c = W.copy()
+        c[0, 1, 2, 2] = bad
+        call = {
+            "sa_split": lambda: sa_split(c),
+            "decompose": lambda: decompose(c),
+            "christoffel": lambda: christoffel(c, [0.0, 0.0, 1.0], 1.0),
+        }[entry]
+        with pytest.raises(ValueError, match="stiffness tensor has a non-finite entry"):
+            call()
+
+
 class TestDelta:
     def test_zero(self):
         assert np.abs(delta_from_a(np.zeros((3, 3, 3, 3)))).max() == 0.0
@@ -192,7 +209,7 @@ class TestSO3Refine:
         c = random_stiffness(rng)
         parts = decompose(c)
         assert np.allclose(assemble(parts), c, atol=1e-13)
-        tensors = [parts.tensor_s1, parts.tensor_s2, parts.tensor_s3,
+        tensors = [parts.tensor_s1, parts.tensor_s2, parts.harm_r,
                    parts.tensor_a1, parts.tensor_a2]
         for x, y in itertools.combinations(tensors, 2):
             bound = 1e-10 * max(frobenius_norm4(x) * frobenius_norm4(y), 1e-30)
@@ -213,7 +230,7 @@ class TestSO3Refine:
             parts.scalar_s, rel=1e-12, abs=1e-12)
         assert double_trace_oracle(parts.tensor_a1) == pytest.approx(
             parts.scalar_a, rel=1e-12, abs=1e-12)
-        for t in (parts.tensor_s2, parts.tensor_s3, parts.tensor_a2):
+        for t in (parts.tensor_s2, parts.harm_r, parts.tensor_a2):
             assert abs(double_trace_oracle(t)) <= 1e-12
 
     def test_subtensor_inner_products_match_loop_oracle(self, rng):

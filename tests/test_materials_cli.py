@@ -228,6 +228,13 @@ class TestLoadMaterial:
 
 
 class TestReports:
+    def test_voigt_min_eigenvalue_is_the_materials_own(self):
+        # read off the material's own Voigt matrix, not a reassembled one
+        for key in list_bundled():
+            record = bundled_material(key)
+            got = decomposition_report(record)["bounds"]["voigt_min_eigenvalue"]
+            assert got == float(np.linalg.eigvalsh(record.voigt).min()), key
+
     def test_reports_are_deterministic(self, tmp_path):
         record = bundled_material("w")
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cauchykit.tensor_core import (
     LEVI_CIVITA,
+    VOIGT_PAIRS,
     SymmetryViolation,
     cubic_stiffness,
     degenerate_pairs,
@@ -74,6 +75,20 @@ class TestVoigtMap:
         with pytest.raises(SymmetryViolation) as err:
             voigt_to_full(m)
         assert err.value.index[:2] in {(1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_asymmetry_within_tolerance_matches_cell_loop(self, rng, scale):
+        m = random_voigt(rng) * scale
+        m += rng.uniform(-1, 1, (6, 6)) * 1e-9 * np.abs(m).max()
+        sym = 0.5 * (m + m.T)
+        expected = np.empty((3, 3, 3, 3))
+        for I, (i, j) in enumerate(VOIGT_PAIRS):
+            for J, (k, l) in enumerate(VOIGT_PAIRS):
+                expected[i, j, k, l] = expected[j, i, k, l] = sym[I, J]
+                expected[i, j, l, k] = expected[j, i, l, k] = sym[I, J]
+        c = voigt_to_full(m)
+        assert c.tobytes() == expected.tobytes()
+        assert full_to_voigt(c).tobytes() == sym.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=21, max_size=21))
