@@ -19,10 +19,11 @@ with the leading axis dropped.
 
 The pure-longitudinal directions are the critical points of ``f(n) = s:nnnn``
 on the projective plane; :func:`find_pure_longitudinal` finds them by Newton's
-method and certifies the set by its Euler characteristic.  A *family* hit has
-a singular tangent Hessian, as on a continuous ring or cone of pure directions
-(a transversely isotropic Cauchy part has them); the certificate does not
-apply there.  No result in this module uses scipy.
+method and checks the set against the Euler characteristic, a necessary
+condition for completeness.  A *family* hit has a singular tangent Hessian, as
+on a continuous ring or cone of pure directions (a transversely isotropic
+Cauchy part has them); the check does not apply there.  No result in this
+module uses scipy.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .decomp import IrreducibleParts, sa_split
 from .tensor_core import (
     EIGEN_PAIRS,
+    IDENTITY3,
     degenerate_mask,
     degenerate_pairs,
     eig_sym3,
@@ -71,10 +73,15 @@ _FAMILY_MERGE = 2.0 * math.sin(math.radians(0.25))  # chord of 0.5 degrees
 _POINT_MERGE = 1e-7  # chord; isolated hits closer than this are one point
 _NEWTON_SEEDS = 100
 _NEWTON_ITERATIONS = 50
+# A seed still unconverged this long after the last new convergence is, in
+# practice, cycling between capped steps and would not converge by the cap;
+# a patience of 10 lost a near-degenerate hit on a near-hexagonal tensor.
+_NEWTON_PATIENCE = 15
 _NEWTON_STEP_CAP = 0.3  # radians
 _NEWTON_STEP_TOL = 1e-9  # radians; a seed whose last step was longer has not converged
 _FLAT_TOL = 1e-10  # relative to ||s||: no Newton step along a flatter direction
 _FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i - 1 (mod 3)
 
 # Nothing in the library calls scipy.  perfbench/tracing.py still reads
 # ``acoustics.minimize`` and ``acoustics.cKDTree``, so those names resolve here,
@@ -162,8 +169,14 @@ class PureModeScan:
 
     @property
     def certified(self) -> bool | None:
-        """Whether ``#max + #min - #saddle = 1``: no pure direction was missed.
-        None where a family is present or every direction is pure."""
+        """Whether ``#max + #min - #saddle = 1``, the Euler characteristic of
+        the projective plane.
+
+        A necessary check, not a proof of completeness: every complete set of
+        isolated hits passes it, and a set that fails it is incomplete or
+        mislabelled, but a missed max-saddle or min-saddle pair leaves the sum
+        unchanged, so True does not rule one out.  None where a family is
+        present or every direction is pure."""
         m = self.morse
         if self.all_directions_pure or m["family"]:
             return None
@@ -344,12 +357,15 @@ def find_pure_longitudinal(
 
     A batched Riemannian Newton solve runs from 100 golden-angle seeds; each
     step solves the 2x2 tangent-Hessian system, skipping directions flatter
-    than ``1e-10 ||s||``, and is capped at 0.3 rad.  Converged points with
-    purity residual at most ``tol`` are kept, labelled by the signs of their
-    tangent-Hessian eigenvalues and merged within 1e-7 rad (0.5 degrees for two
-    ``family`` points; antipodes identified; the lowest residual wins), in seed
-    order.  While ``certified`` is False the seeds double up to ``grid_n``; a
-    residual at most ``tol`` on every seed gives ``all_directions_pure=True``.
+    than ``1e-10 ||s||``, and is capped at 0.3 rad.  A seed has converged once
+    its step is at most 1e-9 rad; the solve stops when every seed has, when 15
+    iterations pass without a seed converging for the first time, or after 50
+    iterations.  Converged points with purity residual at most ``tol`` are
+    kept, labelled by the signs of their tangent-Hessian eigenvalues and merged
+    within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
+    identified; the lowest residual wins), in seed order.  While
+    ``certified`` is False the seeds double up to ``grid_n``; a residual at
+    most ``tol`` on every seed gives ``all_directions_pure=True``.
     """
     if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
@@ -367,15 +383,28 @@ def find_pure_longitudinal(
 def _local_model(s: np.ndarray, n: np.ndarray):
     """``f = s:nnnn``, ``s . nn``, a tangent frame ``(N, 3, 2)``, and the
     tangent gradient and Hessian of ``f / 4`` at every row of ``n``."""
-    sc = np.tensordot(np.einsum("ni,nj->nij", n, n), s, axes=2)
+    count = len(n)
+    # the BLAS product np.tensordot(nn, s, axes=2) makes, without its set-up
+    sc = np.dot((n[:, :, None] * n[:, None, :]).reshape(count, 9),
+                s.reshape(9, 9)).reshape(count, 3, 3)
     snnn = np.einsum("nij,nj->ni", sc, n)
     f = np.einsum("ni,ni->n", snnn, n)
-    e1 = np.cross(n, np.eye(3)[np.abs(n).argmin(axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    frame = np.stack([e1, np.cross(n, e1)], axis=2)
+    frame = np.empty((count, 3, 2))
+    e1 = _cross(n, IDENTITY3[np.abs(n).argmin(axis=1)])
+    e1 /= np.sqrt(np.add.reduce(e1 * e1, 1))[:, None]
+    frame[:, :, 0] = e1
+    frame[:, :, 1] = _cross(n, e1)
     grad = np.einsum("nia,ni->na", frame, snnn)
-    hess = 3.0 * np.swapaxes(frame, 1, 2) @ sc @ frame - f[:, None, None] * np.eye(2)
+    hess = 3.0 * np.swapaxes(frame, 1, 2) @ sc @ frame
+    hess[:, 0, 0] -= f
+    hess[:, 1, 1] -= f
     return f, sc, frame, grad, hess
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.cross`` of ``(N, 3)`` arrays, with its arithmetic and
+    without its broadcasting set-up."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
 
 
 def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,27 +412,38 @@ def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values ``(N, 2)`` descending, ``vectors[:, k]`` the unit vector of value k."""
     half, mean = 0.5 * (h[:, 0, 0] - h[:, 1, 1]), 0.5 * (h[:, 0, 0] + h[:, 1, 1])
     radius, angle = np.hypot(half, h[:, 0, 1]), 0.5 * np.arctan2(h[:, 0, 1], half)
-    cos, sin = np.cos(angle), np.sin(angle)
-    vectors = np.stack([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)], axis=1)
-    return np.stack([mean + radius, mean - radius], axis=1), vectors
+    values, vectors = np.empty((len(h), 2)), np.empty((len(h), 2, 2))
+    values[:, 0] = mean + radius
+    values[:, 1] = mean - radius
+    vectors[:, 0, 0] = vectors[:, 1, 1] = np.cos(angle)
+    vectors[:, 0, 1] = np.sin(angle)
+    vectors[:, 1, 0] = -vectors[:, 0, 1]
+    return values, vectors
 
 
 def _newton_search(s: np.ndarray, rho: float, count: int, tol: float) -> PureModeScan:
     """One batched Newton solve from ``count`` seeds."""
     scale = frobenius_norm4(s)
     n = fibonacci_sphere(count)
-    for _ in range(_NEWTON_ITERATIONS):
+    converged, last_new = np.zeros(count, dtype=bool), -1
+    for it in range(_NEWTON_ITERATIONS):
         _f, _sc, frame, grad, hess = _local_model(s, n)
         values, vectors = _eig2(hess)
         inverse = np.divide(1.0, values, out=np.zeros_like(values),
                             where=np.abs(values) > _FLAT_TOL * scale)
         step = -np.einsum("nk,nkc->nc", np.einsum("nkc,nc->nk", vectors, grad) * inverse,
                           vectors)
-        length = np.linalg.norm(step, axis=1)
+        length = np.sqrt(np.add.reduce(step * step, 1))
         step *= np.minimum(1.0, _NEWTON_STEP_CAP / np.maximum(length, 1e-300))[:, None]
         n = n + np.einsum("nia,na->ni", frame, step)
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        if length.max() <= _NEWTON_STEP_TOL:
+        n /= np.sqrt(np.add.reduce(n * n, 1))[:, None]
+        done = length <= _NEWTON_STEP_TOL
+        if done.all():
+            break
+        if (done & ~converged).any():
+            converged |= done
+            last_new = it
+        elif it - last_new >= _NEWTON_PATIENCE:
             break
 
     f, sc, _frame, _grad, hess = _local_model(s, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # re-exported: decompose builds the IrreducibleParts the functions here take
-from .decomp import IrreducibleParts, decompose  # noqa: F401
+from .decomp import IrreducibleParts, check_stiffness, decompose  # noqa: F401
 from .tensor_core import IDENTITY3, full_to_voigt
 
 __all__ = [
@@ -97,6 +97,8 @@ def _sym3(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (3, 3):
         raise ValueError(f"expected a 3x3 tensor, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("strain or stress tensor has a non-finite entry")
     if np.abs(x - x.T).max() > 1e-12 * float(np.abs(x).max()):
         raise ValueError("tensor must be symmetric")
     return 0.5 * (x + x.T)
@@ -118,7 +120,7 @@ def split_stress(sig) -> StressSplit:
 
 def hooke_full(c: np.ndarray, eps) -> np.ndarray:
     """Plain Hooke's law ``sigma[i,j] = c[i,j,k,l] eps[k,l]``."""
-    return np.einsum("ijkl,kl->ij", np.asarray(c, dtype=float), _sym3(eps))
+    return np.einsum("ijkl,kl->ij", check_stiffness(c), _sym3(eps))
 
 
 def hooke_mean(parts: IrreducibleParts, strain: StrainSplit) -> float:

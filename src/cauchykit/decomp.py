@@ -46,6 +46,7 @@ __all__ = [
     "SAParts",
     "IrreducibleParts",
     "Classification",
+    "check_stiffness",
     "sa_split",
     "delta_from_a",
     "a_from_delta",
@@ -174,6 +175,17 @@ class Classification:
     quadratic_invariants: dict[str, float]
 
 
+def check_stiffness(c) -> np.ndarray:
+    """Return ``c`` as a float array, or raise ``ValueError`` if an entry is
+    NaN or infinite.  The one home of this check: :func:`sa_split`, and so
+    every analysis, calls it, as do the plain contractions that bypass the
+    split."""
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("stiffness tensor has a non-finite entry")
+    return c
+
+
 def sa_split(c: np.ndarray) -> SAParts:
     """Split a stiffness tensor into its Cauchy and non-Cauchy parts.
 
@@ -181,11 +193,9 @@ def sa_split(c: np.ndarray) -> SAParts:
     symmetrization (the three cyclic terms suffice given the minor and major
     symmetries of the input); ``a = c - s`` is the remainder.  The
     decomposition, the Christoffel tensor and the pure-mode search all start
-    here, so a non-finite entry is rejected here, with ``ValueError``.
+    here; a non-finite entry raises ``ValueError`` (:func:`check_stiffness`).
     """
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
-        raise ValueError("stiffness tensor has a non-finite entry")
+    c = check_stiffness(c)
     s = (c + np.einsum("iklj->ijkl", c) + np.einsum("iljk->ijkl", c)) / 3.0
     return SAParts(c=c, s=s, a=c - s)
 
@@ -333,7 +343,7 @@ def q_components_voigt(c: np.ndarray) -> np.ndarray:
     ``C23 - C44 = C13 - C55 = C12 - C66 = A/4``, ``C45 = C36``, ``C46 = C25``,
     ``C56 = C14``.
     """
-    m = full_to_voigt(np.asarray(c, dtype=float))
+    m = full_to_voigt(check_stiffness(c))
     a = 4.0 / 3.0 * ((m[0, 1] - m[3, 3]) + (m[0, 2] - m[4, 4]) + (m[1, 2] - m[5, 5]))
     q11 = 2.0 / 3.0 * (m[1, 2] - m[3, 3]) - a / 6.0
     q22 = 2.0 / 3.0 * (m[0, 2] - m[4, 4]) - a / 6.0
@@ -398,7 +408,7 @@ def general_relation_residual(c: np.ndarray, beta: float, gamma: float) -> np.nd
     """
     if beta == 0.0 and gamma == 0.0:
         raise ValueError("beta and gamma must not both vanish")
-    c = np.asarray(c, dtype=float)
+    c = check_stiffness(c)
     return beta * (np.einsum("iklj->ijkl", c) - c) + gamma * (
         np.einsum("ilkj->ijkl", c) - c
     )
@@ -412,7 +422,7 @@ def mn_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stiffness symmetries for generic input, so unlike :func:`sa_split` this is
     not a decomposition inside the stiffness class.  Provided for comparison.
     """
-    c = np.asarray(c, dtype=float)
+    c = check_stiffness(c)
     swapped = np.einsum("ikjl->ijkl", c)
     m = 0.5 * (c + swapped)
     n = 0.5 * (c - swapped)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cauchykit import acoustics
 from cauchykit.acoustics import (
     ChristoffelBundle,
     christoffel,
@@ -482,6 +483,70 @@ class TestPureModeCertificate:
         c[0, 1, 2, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             find_pure_longitudinal(c, 1.0)
+
+    def test_random_tensors_certify_at_100_seeds(self):
+        for seed in range(40):
+            c = voigt_to_full(random_spd_voigt(np.random.default_rng(seed)))
+            scan = find_pure_longitudinal(c, 1.0)
+            count = len(scan.hits)
+            assert scan.certified is True and scan.seeds == 100, seed
+            assert count % 2 == 1 and 3 <= count <= 13, (seed, count)
+
+
+class TestNewtonSolve:
+    """The internals of the pure-mode Newton solve: its stop rule, its 2x2
+    eigen solver and its tangent frame."""
+
+    def test_solve_stops_once_no_new_seed_converges(self, monkeypatch):
+        # 4 of the 100 seeds never converge here; running them to the
+        # 50-iteration cap costs 52 local models (one for the all-pure test,
+        # one after the loop)
+        calls = []
+        model = acoustics._local_model
+        monkeypatch.setattr(acoustics, "_local_model",
+                            lambda s, n: calls.append(len(n)) or model(s, n))
+        c = voigt_to_full(random_spd_voigt(np.random.default_rng(0)))
+        scan = find_pure_longitudinal(c, 1.0)
+        assert len(calls) < 40
+        assert scan.morse == {"max": 2, "min": 2, "saddle": 3, "family": 0}
+        assert scan.certified is True and scan.seeds == 100
+
+    @pytest.mark.parametrize("kind", ["random", "diagonal", "equal", "zero"])
+    def test_eig2_matches_eigh(self, rng, kind):
+        h = rng.normal(size=(200, 2, 2))
+        h = h + np.swapaxes(h, 1, 2)
+        if kind == "diagonal":
+            h[:, 0, 1] = h[:, 1, 0] = 0.0
+        elif kind == "equal":
+            h = h[:, :1, :1] * np.eye(2)
+        elif kind == "zero":
+            h = np.zeros((3, 2, 2))
+        values, vectors = acoustics._eig2(h)
+        tol = 1e-14 * max(float(np.abs(h).max()), 1.0)
+        np.testing.assert_allclose(values, np.linalg.eigh(h)[0][:, ::-1], rtol=0, atol=tol)
+        np.testing.assert_allclose(vectors @ np.swapaxes(vectors, 1, 2),
+                                   np.broadcast_to(np.eye(2), h.shape), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.einsum("nij,nkj->nki", h, vectors),
+                                   values[:, :, None] * vectors, rtol=0, atol=tol)
+
+    def test_frame_is_the_cross_product_frame(self, rng):
+        # axes and the diagonals tie in |n|.argmin; signed zeros included
+        r2, r3 = math.sqrt(0.5), math.sqrt(1.0 / 3.0)
+        special = np.array([
+            [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0],
+            [0.6, -0.8, 0.0], [0.0, 0.6, 0.8], [-0.8, -0.0, 0.6], [-0.0, 0.6, -0.8],
+            [r2, r2, 0.0], [0.0, -r2, r2], [r3, r3, r3], [-r3, r3, -r3],
+        ])
+        n = np.vstack([special, np.array([random_unit(rng) for _ in range(50)]),
+                       fibonacci_sphere(100)])
+        frame = acoustics._local_model(sa_split(W).s, n)[2]
+        e1 = np.cross(n, np.eye(3)[np.abs(n).argmin(axis=1)])
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        assert frame.tobytes() == np.stack([e1, np.cross(n, e1)], axis=2).tobytes()
+        np.testing.assert_allclose(np.swapaxes(frame, 1, 2) @ frame,
+                                   np.broadcast_to(np.eye(2), (len(n), 2, 2)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.einsum("ni,nia->na", n, frame), 0.0, rtol=0, atol=1e-15)
 
 
 class TestShearPolarization:

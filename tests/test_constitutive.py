@@ -62,6 +62,21 @@ class TestSplits:
         with pytest.raises(ValueError, match="symmetric"):
             split_strain(eps)  # 5e-4 relative asymmetry at every scale
 
+    # NaN fails every comparison, so the symmetry check alone lets it through
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", ["split_strain", "split_stress", "hooke_full", "energy"])
+    def test_non_finite_entry_rejected(self, bad, entry):
+        eps = 0.01 * np.eye(3)
+        eps[0, 0] = bad
+        call = {
+            "split_strain": lambda: split_strain(eps),
+            "split_stress": lambda: split_stress(eps),
+            "hooke_full": lambda: hooke_full(W, eps),
+            "energy": lambda: energy(decompose(W), eps),
+        }[entry]
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
 
 class TestHookeFull:
     def test_isotropic_identity_strain(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cauchykit.acoustics import christoffel
+from cauchykit.constitutive import hooke_full
 from cauchykit.decomp import (
     a_from_delta,
     assemble,
@@ -107,9 +108,13 @@ class TestSASplit:
 
 
 class TestNonFiniteStiffness:
-    # the decomposition and the Christoffel tensor start at sa_split, which rejects it
+    # the decomposition and the Christoffel tensor start at sa_split, and the
+    # plain contractions call its check directly; q_components_voigt never
+    # reads c[0, 1, 2, 2], so only the check catches it there
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("entry", ["sa_split", "decompose", "christoffel"])
+    @pytest.mark.parametrize("entry", ["sa_split", "decompose", "christoffel", "hooke_full",
+                                       "q_components_voigt", "general_relation_residual",
+                                       "mn_split"])
     def test_rejected(self, bad, entry):
         c = W.copy()
         c[0, 1, 2, 2] = bad
@@ -117,6 +122,10 @@ class TestNonFiniteStiffness:
             "sa_split": lambda: sa_split(c),
             "decompose": lambda: decompose(c),
             "christoffel": lambda: christoffel(c, [0.0, 0.0, 1.0], 1.0),
+            "hooke_full": lambda: hooke_full(c, 0.01 * np.eye(3)),
+            "q_components_voigt": lambda: q_components_voigt(c),
+            "general_relation_residual": lambda: general_relation_residual(c, 1.0, 1.0),
+            "mn_split": lambda: mn_split(c),
         }[entry]
         with pytest.raises(ValueError, match="stiffness tensor has a non-finite entry"):
             call()
