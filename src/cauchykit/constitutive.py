@@ -104,18 +104,22 @@ def _sym3(x) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
+def _trace_split(x: np.ndarray) -> tuple[float, np.ndarray]:
+    # x = (tr/3) g + shear, for an x that _sym3 already checked
+    tr = float(np.trace(x))
+    return tr, x - tr / 3.0 * IDENTITY3
+
+
 def split_strain(eps) -> StrainSplit:
     """Split a symmetric strain into trace and traceless shear parts."""
-    eps = _sym3(eps)
-    tr = float(np.trace(eps))
-    return StrainSplit(trace=tr, shear=eps - tr / 3.0 * IDENTITY3)
+    tr, shear = _trace_split(_sym3(eps))
+    return StrainSplit(trace=tr, shear=shear)
 
 
 def split_stress(sig) -> StressSplit:
     """Split a symmetric stress into trace and traceless shear parts."""
-    sig = _sym3(sig)
-    tr = float(np.trace(sig))
-    return StressSplit(trace=tr, shear=sig - tr / 3.0 * IDENTITY3)
+    tr, shear = _trace_split(_sym3(sig))
+    return StressSplit(trace=tr, shear=shear)
 
 
 def hooke_full(c: np.ndarray, eps) -> np.ndarray:
@@ -179,9 +183,7 @@ def energy(parts: IrreducibleParts, eps) -> EnergyReport:
     The channel sum reproduces the direct quadruple contraction exactly.
     """
     eps = _sym3(eps)
-    sp = split_strain(eps)
-    u = sp.shear
-    tr = sp.trace
+    tr, u = _trace_split(eps)
 
     total = 0.5 * float(np.einsum("ijkl,ij,kl->", parts.split.c, eps, eps))
 

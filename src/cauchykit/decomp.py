@@ -22,6 +22,14 @@ refined, so the classification, the Cauchy factor and the constitutive
 results read off it.  :func:`generator_tensors` is the one home of the S, P
 and A sub-tensor assembly, shared with report reconstruction.
 
+Every fixed linear map here (the index permutations of :func:`sa_split`,
+the condensation of ``a`` into ``delta``, its inverse :func:`a_from_delta`
+and the symmetrized product behind ``s2``) is tabulated once, at import, from
+the einsum formula its docstring states: a few index gathers replace the
+general contraction, and each entry sums the same nonzero terms in the same
+order, so results are bitwise those of the formula.  Norms are computed once
+per result and cached on it.
+
 Sign and normalization conventions are fixed once and for all by
 :func:`delta_from_a`; alternative scalings of ``delta`` found in the
 literature are deliberately not supported.
@@ -29,7 +37,9 @@ literature are deliberately not supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,18 +71,55 @@ __all__ = [
     "mn_split",
 ]
 
+
+def _terms(op: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate the linear map ``x -> op @ x.ravel()`` (``op`` of shape
+    ``(..., rows, cols)``) as ``k`` gathered terms per output entry, in
+    ascending column order: ``out[r] = sum_t x.ravel()[index[t, ..., r]] *
+    coeff[t, ..., r]``.  Each row of ``op`` has at most ``k`` nonzero entries;
+    a shorter row is padded with zero coefficients."""
+    cols = np.argsort(op == 0, axis=-1, kind="stable")[..., :k]
+    coeff = np.take_along_axis(op, cols, axis=-1)
+    return np.moveaxis(cols, -1, 0), np.moveaxis(coeff, -1, 0)
+
+
 _G1 = np.einsum("ij,kl->ijkl", IDENTITY3, IDENTITY3)
 _G2 = np.einsum("ik,jl->ijkl", IDENTITY3, IDENTITY3)
 _G3 = np.einsum("il,jk->ijkl", IDENTITY3, IDENTITY3)
+# s1 and a1 of generator_tensors, per unit S/15 and A/12
+_S1_BASIS = _G1 + _G2 + _G3
+_A1_BASIS = 2.0 * _G1 - _G3 - _G2
+# _condense: the four nonzero eps-eps terms of each delta entry
+_CONDENSE_INDEX, _CONDENSE_SIGN = _terms(
+    np.einsum("mil,njk->mnijkl", LEVI_CIVITA, LEVI_CIVITA).reshape(9, 81), 4)
+# a_from_delta: the one term of each entry of t1 and of t2
+(_AFD_INDEX,), (_AFD_SIGN,) = _terms(np.stack([
+    np.einsum("ikm,jln->ijklmn", LEVI_CIVITA, LEVI_CIVITA),
+    np.einsum("ilm,jkn->ijklmn", LEVI_CIVITA, LEVI_CIVITA),
+]).reshape(2, 81, 9), 1)
+# _sym_pg: the one term of each entry of its six pairings, p[i,j] g[k,l],
+# p[i,k] g[j,l], p[i,l] g[j,k], p[j,k] g[i,l], p[j,l] g[i,k] and p[k,l] g[i,j]
+(_PG_INDEX,), (_PG_COEFF,) = _terms(np.stack([
+    np.einsum(f"{pair[0]}m,{pair[1]}n,{pair[2:]}->ijklmn", IDENTITY3, IDENTITY3, IDENTITY3)
+    for pair in ("ijkl", "ikjl", "iljk", "jkil", "jlik", "klij")
+]).reshape(6, 81, 9), 1)
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    out = []
-    for a in arrays:
-        a = np.array(a, dtype=float)
-        a.setflags(write=False)
-        out.append(a)
-    return tuple(out)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _freeze_fields(obj, names: tuple[str, ...]) -> None:
+    # an array that is already read-only and owns its memory is kept (sa_split
+    # and so3_refine freeze the arrays they make); any other array, a writable
+    # one or a view, is replaced by a frozen copy, so no writable array is
+    # aliased and no caller's array has its flags changed
+    for name in names:
+        a = getattr(obj, name)
+        if not (isinstance(a, np.ndarray) and a.dtype == float and a.base is None
+                and not a.flags.writeable):
+            object.__setattr__(obj, name, _readonly(np.array(a, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -89,8 +136,19 @@ class SAParts:
     a: np.ndarray
 
     def __post_init__(self):
-        for name, arr in zip(("c", "s", "a"), _frozen(self.c, self.s, self.a)):
-            object.__setattr__(self, name, arr)
+        _freeze_fields(self, ("c", "s", "a"))
+
+    @cached_property
+    def c_norm(self) -> float:
+        return frobenius_norm4(self.c)
+
+    @cached_property
+    def s_norm(self) -> float:
+        return frobenius_norm4(self.s)
+
+    @cached_property
+    def a_norm(self) -> float:
+        return frobenius_norm4(self.a)
 
 
 @dataclass(frozen=True)
@@ -112,6 +170,7 @@ class IrreducibleParts:
     and sum to the decomposed stiffness tensor.
     ``split`` is the permutation split they were refined from (``split.c`` is
     the decomposed tensor) and ``delta`` the 3x3 form of its non-Cauchy part.
+    The norms here and on ``split`` are computed on first read and cached.
     """
 
     split: SAParts
@@ -127,32 +186,31 @@ class IrreducibleParts:
     tensor_a2: np.ndarray
 
     def __post_init__(self):
-        names = ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1", "tensor_s2",
-                 "tensor_a1", "tensor_a2")
-        for name, arr in zip(names, _frozen(*(getattr(self, n) for n in names))):
-            object.__setattr__(self, name, arr)
+        _freeze_fields(self, ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1",
+                              "tensor_s2", "tensor_a1", "tensor_a2"))
 
-    @property
+    @cached_property
     def p_norm(self) -> float:
         return frobenius_norm2(self.dev_p)
 
-    @property
+    @cached_property
     def q_norm(self) -> float:
         return frobenius_norm2(self.dev_q)
 
-    @property
+    @cached_property
     def r_norm(self) -> float:
         return frobenius_norm4(self.harm_r)
 
-    @property
+    @cached_property
     def cauchy_factor(self) -> float:
         """Dimensionless closeness to the ideal Cauchy model, in [0, 1].
 
         ``F = ||s|| / sqrt(||s||^2 + ||a||^2)``; equals 1 exactly when the
-        non-Cauchy part vanishes.  Undefined (rejected) for the zero tensor.
+        non-Cauchy part vanishes.  Undefined (rejected, on every read) for the
+        zero tensor.
         """
-        ns = frobenius_norm4(self.split.s)
-        na = frobenius_norm4(self.split.a)
+        ns = self.split.s_norm
+        na = self.split.a_norm
         if ns == 0.0 and na == 0.0:
             raise ValueError("Cauchy factor is undefined for the zero tensor")
         return float(ns / np.sqrt(ns * ns + na * na))
@@ -195,9 +253,10 @@ def sa_split(c: np.ndarray) -> SAParts:
     decomposition, the Christoffel tensor and the pure-mode search all start
     here; a non-finite entry raises ``ValueError`` (:func:`check_stiffness`).
     """
-    c = check_stiffness(c)
-    s = (c + np.einsum("iklj->ijkl", c) + np.einsum("iljk->ijkl", c)) / 3.0
-    return SAParts(c=c, s=s, a=c - s)
+    # the caller's array is copied once; the arrays made here are frozen in place
+    c = _readonly(np.array(check_stiffness(c)))
+    s = (c + c.transpose(0, 3, 1, 2) + c.transpose(0, 2, 3, 1)) / 3.0
+    return SAParts(c=c, s=_readonly(s), a=_readonly(c - s))
 
 
 def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -222,7 +281,11 @@ def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def _condense(a: np.ndarray) -> np.ndarray:
-    d = np.einsum("mil,njk,ijkl->mn", LEVI_CIVITA, LEVI_CIVITA, a) / 3.0
+    # einsum("mil,njk,ijkl->mn", eps, eps, a) / 3: the four nonzero terms of
+    # each entry, summed in (i, j, k, l) order; "+ 0.0" turns a -0.0 sum into
+    # the +0.0 that einsum's zero-started accumulation gives
+    t = a.reshape(81)[_CONDENSE_INDEX] * _CONDENSE_SIGN
+    d = ((t[0] + t[1] + t[2] + t[3]) + 0.0).reshape(3, 3) / 3.0
     return 0.5 * (d + d.T)
 
 
@@ -234,22 +297,21 @@ def a_from_delta(d: np.ndarray) -> np.ndarray:
     exactly, and :func:`delta_from_a` inverts this map.
     """
     d = np.asarray(d, dtype=float)
-    t1 = np.einsum("ikm,jln,mn->ijkl", LEVI_CIVITA, LEVI_CIVITA, d)
-    t2 = np.einsum("ilm,jkn,mn->ijkl", LEVI_CIVITA, LEVI_CIVITA, d)
-    return 0.5 * (t1 + t2)
+    if d.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {d.shape}")
+    # t1 and t2 have one eps-eps term per entry (a zero coefficient where
+    # none); "+ 0.0" as in _condense
+    t = d.reshape(9)[_AFD_INDEX] * _AFD_SIGN
+    return (0.5 * (t[0] + t[1])).reshape(3, 3, 3, 3) + 0.0
 
 
 def _sym_pg(p: np.ndarray) -> np.ndarray:
-    # six-term symmetrized product of a symmetric 3x3 with the metric
-    g = IDENTITY3
-    return (
-        np.einsum("ij,kl->ijkl", p, g)
-        + np.einsum("ik,jl->ijkl", p, g)
-        + np.einsum("il,jk->ijkl", p, g)
-        + np.einsum("jk,il->ijkl", p, g)
-        + np.einsum("jl,ik->ijkl", p, g)
-        + np.einsum("kl,ij->ijkl", p, g)
-    )
+    # six-term symmetrized product of a symmetric 3x3 with the metric, the
+    # sum of einsum("ij,kl->ijkl", p, g) and its five other pairings (see
+    # _PG_INDEX) in that order; "+ 0.0" as in _condense, since einsum's outer
+    # products start from zero too
+    t = p.reshape(9)[_PG_INDEX] * _PG_COEFF
+    return (t[0] + t[1] + t[2] + t[3] + t[4] + t[5]).reshape(3, 3, 3, 3) + 0.0
 
 
 def generator_tensors(scalar_s: float, dev_p: np.ndarray, scalar_a: float,
@@ -262,9 +324,9 @@ def generator_tensors(scalar_s: float, dev_p: np.ndarray, scalar_a: float,
     * ``a1 = (A/12) (2 g g - g g - g g)``,
     * ``a2`` rebuilt from ``Q`` by :func:`a_from_delta`.
     """
-    s1 = scalar_s / 15.0 * (_G1 + _G2 + _G3)
+    s1 = scalar_s / 15.0 * _S1_BASIS
     s2 = _sym_pg(dev_p) / 7.0
-    a1 = scalar_a / 12.0 * (2.0 * _G1 - _G3 - _G2)
+    a1 = scalar_a / 12.0 * _A1_BASIS
     a2 = a_from_delta(dev_q)
     return s1, s2, a1, a2
 
@@ -288,25 +350,26 @@ def so3_refine(parts: SAParts) -> IrreducibleParts:
     # a is non-Cauchy by construction; delta_from_a's check, relative to ||a||,
     # would reject an exactly Cauchy input, whose a is rounding noise
     delta = _condense(a)
-    tr_delta = float(np.trace(delta))
+    tr_delta = float(delta.trace())
     scalar_a = 2.0 * tr_delta
     dev_q = delta - tr_delta / 3.0 * g
 
     s1, s2, a1, a2 = generator_tensors(scalar_s, dev_p, scalar_a, dev_q)
     harm_r = s - s1 - s2
 
+    # every array here is made here, so it is frozen in place, not copied
     return IrreducibleParts(
         split=parts,
-        delta=delta,
+        delta=_readonly(delta),
         scalar_s=scalar_s,
-        dev_p=dev_p,
-        harm_r=harm_r,
+        dev_p=_readonly(dev_p),
+        harm_r=_readonly(harm_r),
         scalar_a=scalar_a,
-        dev_q=dev_q,
-        tensor_s1=s1,
-        tensor_s2=s2,
-        tensor_a1=a1,
-        tensor_a2=a2,
+        dev_q=_readonly(dev_q),
+        tensor_s1=_readonly(s1),
+        tensor_s2=_readonly(s2),
+        tensor_a1=_readonly(a1),
+        tensor_a2=_readonly(a2),
     )
 
 
@@ -368,10 +431,13 @@ def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
     ``||Q|| <= tol ||c||`` (holds for all isotropic and cubic materials).
     The sign of the surviving scalar ``A`` splits materials into the positive
     and negative classes; ``|A| <= tol ||c||`` is reported as
-    ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose`.
+    ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose`;
+    ``tol`` must be finite and nonnegative (``ValueError`` otherwise).
     """
-    norm_c = frobenius_norm4(parts.split.c)
-    norm_a = frobenius_norm4(parts.split.a)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    norm_c = parts.split.c_norm
+    norm_a = parts.split.a_norm
     scale = tol * norm_c
 
     full = norm_a <= scale

@@ -130,6 +130,10 @@ def _check_unknown_fields(obj: dict, allowed: set[str], where: str,
     warnings.append(message)
 
 
+# the 21 upper-triangle cells of a flat Voigt payload, in row order
+_TRIU6 = np.triu_indices(6)
+
+
 def _voigt_from_payload(payload, where: str) -> np.ndarray:
     flat = isinstance(payload, list) and len(payload) == 21 and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in payload
@@ -143,8 +147,8 @@ def _voigt_from_payload(payload, where: str) -> np.ndarray:
     if flat:
         upper = m
         m = np.zeros((6, 6))
-        m[np.triu_indices(6)] = upper
-        m.T[np.triu_indices(6)] = upper
+        m[_TRIU6] = upper
+        m.T[_TRIU6] = upper
     _require(
         m.shape == (6, 6),
         f"{where}: expected a 6x6 matrix or 21 upper-triangle values, "
@@ -195,21 +199,19 @@ def check_crystal_system(voigt: np.ndarray, system: str, tol: float = 1e-6) -> l
     structural zeros/equalities of the declared crystal system."""
     equalities, zeros, relations = _SYSTEM_STRUCTURE[system]
     scale = float(np.abs(voigt).max())
+    v = voigt.tolist()
     issues = []
     for group in equalities:
-        values = [float(voigt[i - 1, j - 1]) for i, j in group]
+        values = [v[i - 1][j - 1] for i, j in group]
         if max(values) - min(values) > tol * scale:
             cells = ", ".join(f"C{i}{j}" for i, j in group)
             issues.append(f"{system} system expects {cells} equal; got {values}")
     for i, j in zeros:
-        if abs(voigt[i - 1, j - 1]) > tol * scale:
-            issues.append(
-                f"{system} system expects C{i}{j} = 0; "
-                f"got {float(voigt[i - 1, j - 1])!r}"
-            )
+        if abs(v[i - 1][j - 1]) > tol * scale:
+            issues.append(f"{system} system expects C{i}{j} = 0; got {v[i - 1][j - 1]!r}")
     for (ti, tj), (ai, aj), (bi, bj) in relations:
-        expected = 0.5 * float(voigt[ai - 1, aj - 1] - voigt[bi - 1, bj - 1])
-        actual = float(voigt[ti - 1, tj - 1])
+        expected = 0.5 * (v[ai - 1][aj - 1] - v[bi - 1][bj - 1])
+        actual = v[ti - 1][tj - 1]
         if abs(actual - expected) > tol * scale:
             issues.append(
                 f"{system} system expects C{ti}{tj} = (C{ai}{aj} - C{bi}{bj})/2 "
@@ -247,11 +249,12 @@ def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> Ma
         _require(isinstance(d, dict), "field 'density' must be an object")
         _check_unknown_fields(d, {"value", "unit"}, "density", strict, warnings)
         value = d.get("value")
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0,
-            "density value must be a finite positive number",
-        )
+        try:  # an integer beyond the float range does not convert
+            finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        _require(finite and value > 0, "density value must be a finite positive number")
         unit = d.get("unit")
         _require(
             unit in DENSITY_UNITS_G_CM3,

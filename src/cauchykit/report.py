@@ -22,7 +22,7 @@ from . import acoustics as ac
 from . import constitutive as co
 from . import decomp
 from .materials import MaterialRecord
-from .tensor_core import EIGEN_PAIRS, frobenius_norm4, full_to_voigt, voigt_to_full
+from .tensor_core import EIGEN_PAIRS, full_to_voigt, voigt_to_full
 
 __all__ = [
     "decomposition_report",
@@ -61,8 +61,8 @@ def _decomposition_block(parts: decomp.IrreducibleParts) -> dict:
         "harm_r_voigt": full_to_voigt(parts.harm_r).tolist(),
         "delta": parts.delta.tolist(),
         "norms": {
-            "cauchy_part": frobenius_norm4(parts.split.s),
-            "non_cauchy_part": frobenius_norm4(parts.split.a),
+            "cauchy_part": parts.split.s_norm,
+            "non_cauchy_part": parts.split.a_norm,
             "p_norm": parts.p_norm,
             "q_norm": parts.q_norm,
             "r_norm": parts.r_norm,
@@ -287,17 +287,33 @@ def write_scan_csv(rows: list[dict], path) -> None:
         fh.writelines(lines)
 
 
+def _block_field(block: dict, name: str, shape: tuple):
+    # block[name] as a finite float (shape ()) or a finite float array of shape
+    try:
+        value = float(block[name]) if shape == () else np.array(block[name], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"decomposition field {name!r} must hold numbers") from exc
+    if shape and value.shape != shape:
+        raise ValueError(f"decomposition field {name!r} must have shape {shape}, "
+                         f"got {value.shape}")
+    if not (np.isfinite(value).all() if shape else math.isfinite(value)):
+        raise ValueError(f"decomposition field {name!r} has a non-finite entry")
+    return value
+
+
 def reconstruct_stiffness(decomposition_block: dict) -> np.ndarray:
     """Reassemble the full stiffness tensor from a report's decomposition
     block (the fixed point property: decomposing the result reproduces the
-    block)."""
+    block).  A generator that is missing, not finite or wrongly shaped
+    (``scalar_s`` and ``scalar_a`` scalars, ``dev_p`` and ``dev_q`` 3x3,
+    ``harm_r_voigt`` 6x6) raises ``KeyError`` or ``ValueError`` naming it."""
     s1, s2, a1, a2 = decomp.generator_tensors(
-        float(decomposition_block["scalar_s"]),
-        np.array(decomposition_block["dev_p"], dtype=float),
-        float(decomposition_block["scalar_a"]),
-        np.array(decomposition_block["dev_q"], dtype=float),
+        _block_field(decomposition_block, "scalar_s", ()),
+        _block_field(decomposition_block, "dev_p", (3, 3)),
+        _block_field(decomposition_block, "scalar_a", ()),
+        _block_field(decomposition_block, "dev_q", (3, 3)),
     )
-    r = voigt_to_full(np.array(decomposition_block["harm_r_voigt"], dtype=float))
+    r = voigt_to_full(_block_field(decomposition_block, "harm_r_voigt", (6, 6)))
     return s1 + s2 + r + a1 + a2
 
 

@@ -44,10 +44,16 @@ IDENTITY3 = np.eye(3)
 
 # Voigt index -> symmetric index pair, zero-based: 1=11, 2=22, 3=33, 4=23, 5=31, 6=12
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
+_VOIGT_I, _VOIGT_J = np.array(VOIGT_PAIRS).T
 # and its inverse: tensor index pair, in either order -> Voigt index
 _VOIGT_INDEX = np.empty((3, 3), dtype=np.intp)
-_VOIGT_INDEX[tuple(np.array(VOIGT_PAIRS).T)] = np.arange(6)
-_VOIGT_INDEX.T[tuple(np.array(VOIGT_PAIRS).T)] = np.arange(6)
+_VOIGT_INDEX[_VOIGT_I, _VOIGT_J] = np.arange(6)
+_VOIGT_INDEX[_VOIGT_J, _VOIGT_I] = np.arange(6)
+# both maps as positions in the flattened source array: the Voigt cell of each
+# tensor entry, shape (3, 3, 3, 3), and the tensor entry of each Voigt cell, (6, 6)
+_FULL_FROM_VOIGT = np.ravel_multi_index((_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX), (6, 6))
+_VOIGT_FROM_FULL = np.ravel_multi_index(
+    (_VOIGT_I[:, None], _VOIGT_J[:, None], _VOIGT_I, _VOIGT_J), (3, 3, 3, 3))
 
 
 def _levi_civita() -> np.ndarray:
@@ -115,14 +121,16 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     if asym.max() > tol * scale:
         I, J = np.unravel_index(int(asym.argmax()), (6, 6))
         raise SymmetryViolation((I + 1, J + 1, 0, 0), float(asym[I, J]), tol * scale)
-    return (0.5 * (m + m.T))[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX]
+    return (0.5 * (m + m.T)).take(_FULL_FROM_VOIGT)
 
 
 def full_to_voigt(c: np.ndarray) -> np.ndarray:
     """Pack a stiffness tensor into its 6x6 Voigt matrix (exact inverse of
     :func:`voigt_to_full`)."""
-    i, j = np.array(VOIGT_PAIRS).T
-    return np.asarray(c, dtype=float)[i[:, None], j[:, None], i, j]
+    c = np.asarray(c, dtype=float)
+    if c.shape != (3, 3, 3, 3):
+        raise ValueError(f"expected shape (3, 3, 3, 3), got {c.shape}")
+    return c.take(_VOIGT_FROM_FULL)
 
 
 def symmetrize_orbit(c: np.ndarray) -> np.ndarray:

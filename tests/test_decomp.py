@@ -5,7 +5,9 @@ import pytest
 
 from cauchykit.acoustics import christoffel
 from cauchykit.constitutive import hooke_full
+from cauchykit import decomp
 from cauchykit.decomp import (
+    SAParts,
     a_from_delta,
     assemble,
     cauchy_factor,
@@ -19,8 +21,11 @@ from cauchykit.decomp import (
     so3_refine,
 )
 from cauchykit.tensor_core import (
+    IDENTITY3,
+    LEVI_CIVITA,
     cubic_stiffness,
     frobenius_inner4,
+    frobenius_norm2,
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
@@ -327,6 +332,13 @@ class TestClassify:
         assert cls.a_sign == "zero-within-tol"
         assert cls.cauchy_factor == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_invalid_tolerance_rejected(self, tol):
+        # under a NaN tolerance every comparison is false, and W (A = 1.744)
+        # would read "zero-within-tol"
+        with pytest.raises(ValueError, match="tolerance"):
+            classify(decompose(W), tol=tol)
+
     def test_quadratic_invariants_reported(self, rng):
         cls = classify(decompose(random_stiffness(rng)))
         parts = decompose(random_stiffness(rng))
@@ -437,3 +449,160 @@ class TestRotationEquivariance:
                                atol=1e-10 * scale)
             assert np.allclose(rotated.tensor_a1, rotate4(parts.tensor_a1, o),
                                atol=1e-10 * scale)
+
+
+# The einsum forms that decomp's index tables were built from.  The tabulated
+# operators sum the same nonzero terms in the same order, so they must agree
+# bit for bit, signed zeros included.
+
+
+def sa_split_s_oracle(c):
+    return (c + np.einsum("iklj->ijkl", c) + np.einsum("iljk->ijkl", c)) / 3.0
+
+
+def condense_oracle(a):
+    d = np.einsum("mil,njk,ijkl->mn", LEVI_CIVITA, LEVI_CIVITA, a) / 3.0
+    return 0.5 * (d + d.T)
+
+
+def a_from_delta_oracle(d):
+    t1 = np.einsum("ikm,jln,mn->ijkl", LEVI_CIVITA, LEVI_CIVITA, d)
+    t2 = np.einsum("ilm,jkn,mn->ijkl", LEVI_CIVITA, LEVI_CIVITA, d)
+    return 0.5 * (t1 + t2)
+
+
+def sym_pg_oracle(p):
+    g = IDENTITY3
+    return (
+        np.einsum("ij,kl->ijkl", p, g)
+        + np.einsum("ik,jl->ijkl", p, g)
+        + np.einsum("il,jk->ijkl", p, g)
+        + np.einsum("jk,il->ijkl", p, g)
+        + np.einsum("jl,ik->ijkl", p, g)
+        + np.einsum("kl,ij->ijkl", p, g)
+    )
+
+
+def signed_zero_stiffness(rng):
+    """Sparse stiffness with exact zeros of both signs among a few values."""
+    m = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0], size=(6, 6))
+    return voigt_to_full(np.triu(m) + np.triu(m, 1).T)
+
+
+def operator_inputs(family, rng):
+    # the tables serve any 3^4 array, so the raw families drop the stiffness
+    # symmetries, under which several terms of an entry coincide
+    if family == "raw":
+        return [rng.normal(size=(3, 3, 3, 3)) for _ in range(50)]
+    if family == "raw-signed-zeros":
+        return [rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=(3, 3, 3, 3))
+                for _ in range(100)]
+    if family == "cubic":
+        return [W, cubic_stiffness(-1.0, 2.0, -3.0)]
+    if family == "isotropic":
+        return [isotropic_stiffness(2.0, 1.0), isotropic_stiffness(0.1, 0.1),
+                isotropic_stiffness(-0.3, 0.7)]
+    if family == "signed-zeros":
+        return [signed_zero_stiffness(rng) for _ in range(100)]
+    return [random_stiffness(rng) * float(family) for _ in range(50)]
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+FAMILIES = ["1e-9", "1", "1e9", "cubic", "isotropic", "signed-zeros", "raw",
+            "raw-signed-zeros"]
+
+
+class TestTabulatedOperators:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sa_split_transposes(self, family, rng):
+        for c in operator_inputs(family, rng):
+            parts = sa_split(c)
+            s = sa_split_s_oracle(c)
+            assert same_bits(parts.s, s)
+            assert same_bits(parts.a, c - s)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_condense(self, family, rng):
+        for c in operator_inputs(family, rng):
+            # the non-Cauchy part, as so3_refine condenses it, and any tensor
+            for a in (sa_split(c).a, c):
+                assert same_bits(decomp._condense(a), condense_oracle(a))
+            assert same_bits(decompose(c).delta, condense_oracle(sa_split(c).a))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sym_pg(self, family, rng):
+        for c in operator_inputs(family, rng):
+            for p in (decompose(c).dev_p, c[0, 0], c[:, :, 1, 2]):
+                assert same_bits(decomp._sym_pg(p), sym_pg_oracle(p))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_from_delta(self, family, rng):
+        for c in operator_inputs(family, rng):
+            parts = decompose(c)
+            # symmetric and non-symmetric 3x3 inputs
+            for d in (parts.dev_q, parts.delta, c[0, 0], c[:, :, 1, 2], c[0, :, 2, :]):
+                assert same_bits(a_from_delta(d), a_from_delta_oracle(d))
+            assert same_bits(parts.tensor_a2, a_from_delta_oracle(parts.dev_q))
+
+    def test_a_from_delta_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="3x3"):
+            a_from_delta(np.zeros(9))
+
+
+class TestFrozenResults:
+    FIELDS = ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1", "tensor_s2",
+              "tensor_a1", "tensor_a2")
+
+    def arrays(self, parts):
+        return ([parts.split.c, parts.split.s, parts.split.a]
+                + [getattr(parts, name) for name in self.FIELDS])
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_decompose_neither_aliases_nor_freezes_the_callers_array(self, rng, writeable):
+        c = random_stiffness(rng)
+        c.setflags(write=writeable)
+        before = c.copy()
+        parts = decompose(c)
+        assert c.flags.writeable == writeable
+        for arr in self.arrays(parts):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, c)
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        if writeable:
+            c[0, 0, 0, 0] += 1.0
+        assert np.array_equal(parts.split.c, before)
+
+    def test_direct_construction_copies_the_callers_arrays(self, rng):
+        c = random_stiffness(rng)
+        s = sa_split_s_oracle(c)
+        a = c - s
+        view = a[...]
+        view.setflags(write=False)  # read-only, but a's owner can still write
+        split = SAParts(c=c, s=s, a=view)
+        for mine, kept in ((c, split.c), (s, split.s), (a, split.a)):
+            assert mine.flags.writeable
+            assert not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+
+    def test_cached_norms_equal_fresh_ones(self, rng):
+        for c in (W, isotropic_stiffness(2.0, 1.0), random_stiffness(rng)):
+            parts = decompose(c)
+            for _ in range(2):  # first read computes, second reads the cache
+                assert parts.split.c_norm == frobenius_norm4(c)
+                assert parts.split.s_norm == frobenius_norm4(parts.split.s)
+                assert parts.split.a_norm == frobenius_norm4(parts.split.a)
+                assert parts.p_norm == frobenius_norm2(parts.dev_p)
+                assert parts.q_norm == frobenius_norm2(parts.dev_q)
+                assert parts.r_norm == frobenius_norm4(parts.harm_r)
+                ns, na = frobenius_norm4(parts.split.s), frobenius_norm4(parts.split.a)
+                assert parts.cauchy_factor == float(ns / np.sqrt(ns * ns + na * na))
+
+    def test_cauchy_factor_raises_on_every_read_of_the_zero_tensor(self):
+        parts = decompose(np.zeros((3, 3, 3, 3)))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="zero tensor"):
+                parts.cauchy_factor

@@ -183,6 +183,15 @@ class TestLoadMaterial:
         with pytest.raises(MaterialError, match="finite"):
             load_material(write_material(tmp_path, doc))
 
+    def test_density_integer_beyond_float_range_rejected(self, tmp_path):
+        # math.isfinite(10**400) raises OverflowError, not a validation error
+        doc = material_doc(density={"value": 10**400, "unit": "g/cm^3"})
+        with pytest.raises(MaterialError, match="finite"):
+            material_from_dict(doc)
+        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.output
+
     @pytest.mark.parametrize("flat", [False, True], ids=["6x6", "upper-triangle"])
     def test_integer_beyond_float_range_rejected(self, tmp_path, flat):
         voigt = np.diag([3.0] * 3 + [1.0] * 3)
@@ -269,6 +278,48 @@ class TestReports:
         assert loaded["decomposition"]["scalar_a"] == report["decomposition"][
             "scalar_a"]
         assert loaded["classification"]["a_sign"] == "negative"
+
+    @pytest.mark.parametrize("field,value", [
+        ("scalar_s", float("nan")),
+        ("scalar_a", float("inf")),
+        ("dev_p", [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        ("dev_q", [[0.0, 0.0, 0.0], [0.0, -float("inf"), 0.0], [0.0, 0.0, 0.0]]),
+        ("harm_r_voigt", np.full((6, 6), float("nan")).tolist()),
+    ])
+    def test_reconstruction_rejects_non_finite_field(self, field, value):
+        block = dict(decomposition_report(bundled_material("w"))["decomposition"])
+        block[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' has a non-finite entry"):
+            reconstruct_stiffness(block)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dev_p", np.zeros((2, 2)).tolist()),
+        ("dev_q", np.zeros(9).tolist()),
+        ("harm_r_voigt", np.zeros((3, 3, 3, 3)).tolist()),
+    ])
+    def test_reconstruction_rejects_wrong_shape(self, field, value):
+        block = dict(decomposition_report(bundled_material("w"))["decomposition"])
+        block[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must have shape"):
+            reconstruct_stiffness(block)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dev_p", [[1.0, 2.0], [3.0]]),
+        ("dev_q", "abc"),
+        ("harm_r_voigt", 10**400),
+        ("scalar_s", [1.0, 2.0]),
+        ("scalar_a", 10**400),
+    ], ids=["ragged", "string", "huge-int", "list-for-scalar", "huge-int-scalar"])
+    def test_reconstruction_rejects_non_numbers(self, field, value):
+        block = dict(decomposition_report(bundled_material("w"))["decomposition"])
+        block[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must hold numbers"):
+            reconstruct_stiffness(block)
+
+    @pytest.mark.parametrize("build", [decomposition_report, classification_report])
+    def test_reports_reject_a_nan_tolerance(self, build):
+        with pytest.raises(ValueError, match="tolerance"):
+            build(bundled_material("w"), tol=float("nan"))
 
     def test_triclinic_fixed_point(self):
         rng = np.random.default_rng(7)

@@ -63,6 +63,12 @@ class TestVoigtMap:
     def test_zero_tensor(self):
         assert np.array_equal(full_to_voigt(np.zeros((3, 3, 3, 3))), np.zeros((6, 6)))
 
+    @pytest.mark.parametrize("shape", [(9, 9), (81,), (3, 3, 3, 3, 2)])
+    def test_full_to_voigt_rejects_wrong_shape(self, shape):
+        # the flat gather would read any 81 entries; the shape is checked first
+        with pytest.raises(ValueError, match="expected shape"):
+            full_to_voigt(np.zeros(shape))
+
     def test_output_satisfies_symmetries_exactly(self, rng):
         c = random_stiffness(rng)
         assert np.array_equal(c, np.einsum("jikl->ijkl", c))
