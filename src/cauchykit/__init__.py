@@ -17,7 +17,6 @@ from .tensor_core import (
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
-    validate_symmetries,
     voigt_to_full,
 )
 from .decomp import (
@@ -29,11 +28,7 @@ from .decomp import (
     cauchy_factor,
     classify,
     decompose,
-    delta_from_a,
-    general_relation_residual,
     generator_tensors,
-    mn_split,
-    q_components_voigt,
     sa_split,
     so3_refine,
 )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constitutive import k_shear
 from .decomp import IrreducibleParts, sa_split
 from .tensor_core import (
     EIGEN_PAIRS,
@@ -532,8 +533,4 @@ def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:
     n = unit_vector(n)
     quad = 2.0 * parts.dev_p + 7.0 * parts.dev_q
     r_nnnn = float(np.einsum("ijkl,i,j,k,l->", parts.harm_r, n, n, n, n))
-    return (
-        (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 30.0
-        + float(n @ quad @ n) / 14.0
-        - r_nnnn
-    ) / rho
+    return (k_shear(parts) + float(n @ quad @ n) / 14.0 - r_nnnn) / rho

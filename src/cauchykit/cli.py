@@ -131,7 +131,7 @@ def energy(ctx, material_file, strain):
         [v[5], v[1], v[3]],
         [v[4], v[3], v[2]],
     ])
-    report = rp.energy_report(record, eps, tol=ctx.obj["tol"])
+    report = rp.energy_report(record, eps)
     e = report["energy"]
     click.echo(f"material: {record.name}  (energy unit: {e['unit']})")
     click.echo(f"total: {e['total']:.9g}")
@@ -187,8 +187,7 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
         _fail(ctx, EXIT_VALIDATION, "nothing to do: pass --n, --scan or --pure-modes")
 
     report, rows = rp.acoustics_report(
-        record, rho, directions=directions, scan=scan_count,
-        pure_modes=pure_modes, tol=ctx.obj["tol"],
+        record, rho, directions=directions, scan=scan_count, pure_modes=pure_modes,
     )
 
     click.echo(f"material: {record.name}  density: {rho:.6g} g/cm^3")

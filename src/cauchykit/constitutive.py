@@ -127,37 +127,6 @@ def hooke_full(c: np.ndarray, eps) -> np.ndarray:
     return np.einsum("ijkl,kl->ij", check_stiffness(c), _sym3(eps))
 
 
-def hooke_mean(parts: IrreducibleParts, strain: StrainSplit) -> float:
-    """Mean-stress equation: trace of the stress from the invariant parts.
-
-    ``sigma = ((S + A) / 3) eps + (P - Q) : u``.  Equals the trace of
-    :func:`hooke_full` for the assembled tensor.
-    """
-    pq = parts.dev_p - parts.dev_q
-    return (parts.scalar_s + parts.scalar_a) / 3.0 * strain.trace + float(
-        np.einsum("kl,kl->", pq, strain.shear)
-    )
-
-
-def hooke_shear(parts: IrreducibleParts, strain: StrainSplit) -> np.ndarray:
-    """Stress-deviator equation from the invariant parts.
-
-    ``s = ((P - Q)/3) eps + ((4S - 5A)/30) u + R : u
-    + (2/7) (P u + u P - (2/3)(P : u) g) + (Q u + u Q - (2/3)(Q : u) g)``.
-
-    The result is traceless and equals the deviator of :func:`hooke_full`.
-    """
-    p, q = parts.dev_p, parts.dev_q
-    u = strain.shear
-    g = IDENTITY3
-    out = (p - q) / 3.0 * strain.trace
-    out = out + (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 30.0 * u
-    out = out + np.einsum("ijkl,kl->ij", parts.harm_r, u)
-    out = out + 2.0 / 7.0 * (p @ u + u @ p - 2.0 / 3.0 * np.einsum("mn,mn->", p, u) * g)
-    out = out + (q @ u + u @ q - 2.0 / 3.0 * np.einsum("mn,mn->", q, u) * g)
-    return out
-
-
 def k_mean(parts: IrreducibleParts) -> float:
     """Hydrostatic stiffness coefficient ``(S + A) / 3``; increasing in A."""
     return (parts.scalar_s + parts.scalar_a) / 3.0
@@ -166,6 +135,37 @@ def k_mean(parts: IrreducibleParts) -> float:
 def k_shear(parts: IrreducibleParts) -> float:
     """Shear stiffness coefficient ``(4S - 5A) / 30``; decreasing in A."""
     return (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 30.0
+
+
+def hooke_mean(parts: IrreducibleParts, strain: StrainSplit) -> float:
+    """Mean-stress equation: trace of the stress from the invariant parts.
+
+    ``sigma = ((S + A) / 3) eps + (P - Q) : u``, the coefficient being
+    :func:`k_mean`.  Equals the trace of :func:`hooke_full` for the assembled
+    tensor.
+    """
+    pq = parts.dev_p - parts.dev_q
+    return k_mean(parts) * strain.trace + float(np.einsum("kl,kl->", pq, strain.shear))
+
+
+def hooke_shear(parts: IrreducibleParts, strain: StrainSplit) -> np.ndarray:
+    """Stress-deviator equation from the invariant parts.
+
+    ``s = ((P - Q)/3) eps + ((4S - 5A)/30) u + R : u
+    + (2/7) (P u + u P - (2/3)(P : u) g) + (Q u + u Q - (2/3)(Q : u) g)``.
+
+    The result is traceless and equals the deviator of :func:`hooke_full`;
+    ``(4S - 5A)/30`` is :func:`k_shear`.
+    """
+    p, q = parts.dev_p, parts.dev_q
+    u = strain.shear
+    g = IDENTITY3
+    out = (p - q) / 3.0 * strain.trace
+    out = out + k_shear(parts) * u
+    out = out + np.einsum("ijkl,kl->ij", parts.harm_r, u)
+    out = out + 2.0 / 7.0 * (p @ u + u @ p - 2.0 / 3.0 * np.einsum("mn,mn->", p, u) * g)
+    out = out + (q @ u + u @ q - 2.0 / 3.0 * np.einsum("mn,mn->", q, u) * g)
+    return out
 
 
 def energy(parts: IrreducibleParts, eps) -> EnergyReport:
@@ -223,7 +223,7 @@ def lame_from_invariants(parts: IrreducibleParts) -> tuple[float, float]:
     Exact only when the material is isotropic (P, Q and R all vanish).
     """
     lam = (2.0 * parts.scalar_s + 5.0 * parts.scalar_a) / 30.0
-    mu = (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 60.0
+    mu = k_shear(parts) / 2.0
     return lam, mu
 
 

@@ -30,9 +30,10 @@ general contraction, and each entry sums the same nonzero terms in the same
 order, so results are bitwise those of the formula.  Norms are computed once
 per result and cached on it.
 
-Sign and normalization conventions are fixed once and for all by
-:func:`delta_from_a`; alternative scalings of ``delta`` found in the
-literature are deliberately not supported.
+Sign and normalization conventions are fixed once and for all by the
+condensation of ``a`` into ``delta`` that :func:`decompose` performs;
+alternative scalings of ``delta`` found in the literature are deliberately
+not supported.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ import numpy as np
 from .tensor_core import (
     IDENTITY3,
     LEVI_CIVITA,
-    frobenius_inner4,
     frobenius_norm2,
     frobenius_norm4,
-    full_to_voigt,
 )
 
 __all__ = [
@@ -58,17 +57,13 @@ __all__ = [
     "Classification",
     "check_stiffness",
     "sa_split",
-    "delta_from_a",
     "a_from_delta",
     "so3_refine",
     "generator_tensors",
     "decompose",
     "assemble",
-    "q_components_voigt",
     "cauchy_factor",
     "classify",
-    "general_relation_residual",
-    "mn_split",
 ]
 
 
@@ -236,8 +231,8 @@ class Classification:
 def check_stiffness(c) -> np.ndarray:
     """Return ``c`` as a float array, or raise ``ValueError`` if an entry is
     NaN or infinite.  The one home of this check: :func:`sa_split`, and so
-    every analysis, calls it, as do the plain contractions that bypass the
-    split."""
+    every analysis, calls it, as does ``constitutive.hooke_full``, which
+    bypasses the split."""
     c = np.asarray(c, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError("stiffness tensor has a non-finite entry")
@@ -259,27 +254,6 @@ def sa_split(c: np.ndarray) -> SAParts:
     return SAParts(c=c, s=_readonly(s), a=_readonly(c - s))
 
 
-def delta_from_a(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Condense a non-Cauchy tensor into its equivalent symmetric 3x3 matrix.
-
-    ``delta[m,n] = (1/3) eps[m,i,l] eps[n,j,k] a[i,j,k,l]``.  The input must
-    satisfy the cyclic identity of the non-Cauchy class; if it deviates beyond
-    ``tol`` (relative to its own norm) the representation would be lossy and
-    the input is rejected.  The non-Cauchy part of an exactly Cauchy tensor is
-    rounding noise and may be rejected; callers holding the full tensor ``c``
-    should read ``decompose(c).delta`` instead.
-    """
-    a = np.asarray(a, dtype=float)
-    scale = frobenius_norm4(a)
-    cyc = a + np.einsum("iklj->ijkl", a) + np.einsum("iljk->ijkl", a)
-    if scale > 0 and float(np.abs(cyc).max()) > tol * scale:
-        raise ValueError(
-            "input is not a pure non-Cauchy tensor: cyclic identity violated "
-            f"by {float(np.abs(cyc).max()):.3e} (norm {scale:.3e})"
-        )
-    return _condense(a)
-
-
 def _condense(a: np.ndarray) -> np.ndarray:
     # einsum("mil,njk,ijkl->mn", eps, eps, a) / 3: the four nonzero terms of
     # each entry, summed in (i, j, k, l) order; "+ 0.0" turns a -0.0 sum into
@@ -294,11 +268,14 @@ def a_from_delta(d: np.ndarray) -> np.ndarray:
 
     ``a[i,j,k,l] = (eps[i,k,m] eps[j,l,n] + eps[i,l,m] eps[j,k,n]) d[m,n] / 2``.
     The result satisfies all stiffness symmetries and the cyclic identity
-    exactly, and :func:`delta_from_a` inverts this map.
+    exactly, and ``decompose(a).delta`` inverts this map on symmetric ``d``.
+    A NaN or infinite entry raises ``ValueError``.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("delta has a non-finite entry")
     # t1 and t2 have one eps-eps term per entry (a zero coefficient where
     # none); "+ 0.0" as in _condense
     t = d.reshape(9)[_AFD_INDEX] * _AFD_SIGN
@@ -347,8 +324,6 @@ def so3_refine(parts: SAParts) -> IrreducibleParts:
     scalar_s = float(np.einsum("iikk->", s))
     dev_p = np.einsum("ijkk->ij", s) - scalar_s / 3.0 * g
 
-    # a is non-Cauchy by construction; delta_from_a's check, relative to ||a||,
-    # would reject an exactly Cauchy input, whose a is rounding noise
     delta = _condense(a)
     tr_delta = float(delta.trace())
     scalar_a = 2.0 * tr_delta
@@ -387,34 +362,6 @@ def assemble(parts: IrreducibleParts) -> np.ndarray:
         + parts.tensor_a1
         + parts.tensor_a2
     )
-
-
-def q_components_voigt(c: np.ndarray) -> np.ndarray:
-    """Deviator ``Q`` expressed directly in the stiffness Voigt components.
-
-    With ``A = (4/3) [(C12 - C44) + (C13 - C55) + (C23 - C66)]``:
-
-    * ``Q11 = (2/3)(C23 - C44) - A/6``   ``Q12 = (2/3)(C45 - C36)``
-    * ``Q22 = (2/3)(C13 - C55) - A/6``   ``Q13 = (2/3)(C46 - C25)``
-    * ``Q33 = (2/3)(C12 - C66) - A/6``   ``Q23 = (2/3)(C56 - C14)``
-
-    The leading 2/3 keeps this identical to the deviator produced by
-    :func:`so3_refine` (a doubled variant of these component formulas
-    circulates, but it is inconsistent with the sub-tensor reconstruction
-    identity and is not used here).  The result is traceless by construction;
-    its vanishing defines the partial Cauchy relations
-    ``C23 - C44 = C13 - C55 = C12 - C66 = A/4``, ``C45 = C36``, ``C46 = C25``,
-    ``C56 = C14``.
-    """
-    m = full_to_voigt(check_stiffness(c))
-    a = 4.0 / 3.0 * ((m[0, 1] - m[3, 3]) + (m[0, 2] - m[4, 4]) + (m[1, 2] - m[5, 5]))
-    q11 = 2.0 / 3.0 * (m[1, 2] - m[3, 3]) - a / 6.0
-    q22 = 2.0 / 3.0 * (m[0, 2] - m[4, 4]) - a / 6.0
-    q33 = 2.0 / 3.0 * (m[0, 1] - m[5, 5]) - a / 6.0
-    q12 = 2.0 / 3.0 * (m[3, 4] - m[2, 5])
-    q13 = 2.0 / 3.0 * (m[3, 5] - m[1, 4])
-    q23 = 2.0 / 3.0 * (m[4, 5] - m[0, 3])
-    return np.array([[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]])
 
 
 def cauchy_factor(c: np.ndarray) -> float:
@@ -461,35 +408,3 @@ def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
             "r_norm": parts.r_norm,
         },
     )
-
-
-def general_relation_residual(c: np.ndarray, beta: float, gamma: float) -> np.ndarray:
-    """Residual of the general linear-relation family on the stiffness tensor.
-
-    Returns ``beta (c[i,k,l,j] - c[i,j,k,l]) + gamma (c[i,l,k,j] - c[i,j,k,l])``
-    as a rank-4 array.  For any ``(beta, gamma) != (0, 0)`` this residual
-    vanishes exactly when ``delta = 0``, i.e. every member of the family is
-    equivalent to the Cauchy relations; ``beta = gamma = 1`` gives ``-3 a``
-    and ``beta = 1, gamma = -1`` gives the antisymmetrized-pair form.
-    """
-    if beta == 0.0 and gamma == 0.0:
-        raise ValueError("beta and gamma must not both vanish")
-    c = check_stiffness(c)
-    return beta * (np.einsum("iklj->ijkl", c) - c) + gamma * (
-        np.einsum("ilkj->ijkl", c) - c
-    )
-
-
-def mn_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternative split into inner-pair symmetric and antisymmetric terms.
-
-    ``m = c[i,(j,k),l]`` and ``n = c[i,[j,k],l]`` with ``m + n = c``.  ``n``
-    vanishes exactly when ``delta = 0``, but ``m`` does not inherit the
-    stiffness symmetries for generic input, so unlike :func:`sa_split` this is
-    not a decomposition inside the stiffness class.  Provided for comparison.
-    """
-    c = check_stiffness(c)
-    swapped = np.einsum("ikjl->ijkl", c)
-    m = 0.5 * (c + swapped)
-    n = 0.5 * (c - swapped)
-    return m, n

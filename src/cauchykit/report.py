@@ -118,7 +118,7 @@ def classification_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
     }
 
 
-def energy_report(record: MaterialRecord, eps: np.ndarray, tol: float = 1e-6) -> dict:
+def energy_report(record: MaterialRecord, eps: np.ndarray) -> dict:
     """Energy attribution report for a strain state (strain is dimensionless;
     energies carry the stiffness unit)."""
     parts = decomp.decompose(record.stiffness())
@@ -183,7 +183,6 @@ def acoustics_report(
     directions: list | None = None,
     scan: int | None = None,
     pure_modes: bool = False,
-    tol: float = 1e-6,
 ) -> tuple[dict, list[dict]]:
     """Acoustic report plus (when scanning) the per-direction scan rows.
 

@@ -22,8 +22,6 @@ __all__ = [
     "SymmetryViolation",
     "voigt_to_full",
     "full_to_voigt",
-    "validate_symmetries",
-    "symmetrize_orbit",
     "eig_sym3",
     "EIGEN_PAIRS",
     "degenerate_mask",
@@ -32,10 +30,6 @@ __all__ = [
     "frobenius_inner4",
     "frobenius_norm2",
     "unit_vector",
-    "rotate2",
-    "rotate4",
-    "rotation_from_quaternion",
-    "random_rotation",
     "isotropic_stiffness",
     "cubic_stiffness",
 ]
@@ -69,12 +63,13 @@ IDENTITY3.setflags(write=False)
 
 
 class SymmetryViolation(ValueError):
-    """Raised when a raw 3^4 array is not a stiffness tensor within tolerance.
+    """Raised when a Voigt matrix is not symmetric within tolerance.
 
     Attributes
     ----------
     index : tuple[int, int, int, int]
-        Index tuple with the largest deviation from its symmetry orbit.
+        Index tuple with the largest deviation; :func:`voigt_to_full` reports
+        the one-based Voigt pair ``(I, J)`` as ``(I, J, 0, 0)``.
     magnitude : float
         Absolute size of that deviation.
     """
@@ -131,47 +126,6 @@ def full_to_voigt(c: np.ndarray) -> np.ndarray:
     if c.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3, 3, 3, 3), got {c.shape}")
     return c.take(_VOIGT_FROM_FULL)
-
-
-def symmetrize_orbit(c: np.ndarray) -> np.ndarray:
-    """Average a 3^4 array over its 8-element minor/major symmetry orbit."""
-    c = np.asarray(c, dtype=float)
-    minor = 0.25 * (
-        c
-        + np.einsum("jikl->ijkl", c)
-        + np.einsum("ijlk->ijkl", c)
-        + np.einsum("jilk->ijkl", c)
-    )
-    return 0.5 * (minor + np.einsum("klij->ijkl", minor))
-
-
-def validate_symmetries(c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Project a raw 3^4 array onto the stiffness symmetry class, or reject it.
-
-    The projection averages each component over its 8-element symmetry orbit
-    (both minor swaps and the major pair swap).  Acceptance requires the
-    largest single-component correction to be at most ``tol`` relative to the
-    largest entry of the input.
-
-    Returns the exactly symmetric projected tensor.  Raises
-    :class:`SymmetryViolation` naming the worst index tuple otherwise, and
-    ``ValueError`` for a NaN or infinite entry.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3, 3, 3, 3):
-        raise ValueError(f"expected shape (3, 3, 3, 3), got {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("stiffness entries must be finite")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    projected = symmetrize_orbit(c)
-    corr = np.abs(c - projected)
-    scale = float(np.abs(c).max())
-    worst = float(corr.max())
-    if worst > tol * scale:
-        idx = np.unravel_index(int(corr.argmax()), c.shape)
-        raise SymmetryViolation(tuple(int(i) for i in idx), worst, tol * scale)
-    return projected
 
 
 def eig_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,36 +205,6 @@ def unit_vector(n, tol: float = 1e-12) -> np.ndarray:
         where = "" if n.ndim == 1 else f" in row {int(bad[0])}"
         raise ValueError(f"not a unit vector{where}: |n| = {float(norm.flat[bad[0]])!r}")
     return n
-
-
-def rotate2(a: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Rotate a rank-2 tensor: ``a'_{ij} = O_ia O_jb a_{ab}``."""
-    return np.einsum("ia,jb,ab->ij", o, o, a)
-
-
-def rotate4(c: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Rotate a rank-4 tensor: ``c'_{ijkl} = O_ia O_jb O_kc O_ld c_{abcd}``."""
-    return np.einsum("ia,jb,kc,ld,abcd->ijkl", o, o, o, o, c)
-
-
-def rotation_from_quaternion(q) -> np.ndarray:
-    """Proper rotation matrix from a (not necessarily normalized) quaternion."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation, sampled via a Gaussian quaternion."""
-    q = rng.normal(size=4)
-    while np.linalg.norm(q) < 1e-8:  # pragma: no cover - astronomically rare
-        q = rng.normal(size=4)
-    return rotation_from_quaternion(q)
 
 
 def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Shared generators and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's einsum-based code paths:
-they loop over explicit index ranges so that agreement with the library is a
-genuine cross-check, not a tautology.
+The loop oracles here deliberately avoid the library's einsum-based code
+paths: they loop over explicit index ranges so that agreement with the library
+is a genuine cross-check, not a tautology.  The formula oracles below them are
+independent forms the library does not use: the symmetry-orbit projection, the
+Voigt-component formula for ``Q``, the general family of Cauchy relations and
+the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
+``rotate4`` apply any invertible matrix, not only a rotation.
 """
 
 import itertools
@@ -10,7 +14,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cauchykit.tensor_core import voigt_to_full
+from cauchykit.decomp import check_stiffness
+from cauchykit.tensor_core import SymmetryViolation, full_to_voigt, voigt_to_full
 
 
 def random_voigt(rng, scale=1.0):
@@ -38,6 +43,36 @@ def random_symmetric3(rng, scale=1.0, traceless=False):
     if traceless:
         a -= np.trace(a) / 3.0 * np.eye(3)
     return a
+
+
+def rotate2(a: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Rotate a rank-2 tensor: ``a'_{ij} = O_ia O_jb a_{ab}``."""
+    return np.einsum("ia,jb,ab->ij", o, o, a)
+
+
+def rotate4(c: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Rotate a rank-4 tensor: ``c'_{ijkl} = O_ia O_jb O_kc O_ld c_{abcd}``."""
+    return np.einsum("ia,jb,kc,ld,abcd->ijkl", o, o, o, o, c)
+
+
+def rotation_from_quaternion(q) -> np.ndarray:
+    """Proper rotation matrix from a (not necessarily normalized) quaternion."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random rotation, sampled via a Gaussian quaternion."""
+    q = rng.normal(size=4)
+    while np.linalg.norm(q) < 1e-8:  # pragma: no cover - astronomically rare
+        q = rng.normal(size=4)
+    return rotation_from_quaternion(q)
 
 
 # ---------------------------------------------------------------- oracles
@@ -113,6 +148,110 @@ def hexagonal_voigt(c11, c12, c13, c33, c44):
     m[3, 3] = m[4, 4] = c44
     m[5, 5] = 0.5 * (c11 - c12)
     return m
+
+
+# ---------------------------------------------------------------- formula oracles
+
+
+def symmetrize_orbit(c: np.ndarray) -> np.ndarray:
+    """Average a 3^4 array over its 8-element minor/major symmetry orbit."""
+    c = np.asarray(c, dtype=float)
+    minor = 0.25 * (
+        c
+        + np.einsum("jikl->ijkl", c)
+        + np.einsum("ijlk->ijkl", c)
+        + np.einsum("jilk->ijkl", c)
+    )
+    return 0.5 * (minor + np.einsum("klij->ijkl", minor))
+
+
+def validate_symmetries(c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Project a raw 3^4 array onto the stiffness symmetry class, or reject it.
+
+    The projection averages each component over its 8-element symmetry orbit
+    (both minor swaps and the major pair swap).  Acceptance requires the
+    largest single-component correction to be at most ``tol`` relative to the
+    largest entry of the input.
+
+    Returns the exactly symmetric projected tensor.  Raises
+    :class:`SymmetryViolation` naming the worst index tuple otherwise, and
+    ``ValueError`` for a NaN or infinite entry.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape != (3, 3, 3, 3):
+        raise ValueError(f"expected shape (3, 3, 3, 3), got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("stiffness entries must be finite")
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    projected = symmetrize_orbit(c)
+    corr = np.abs(c - projected)
+    scale = float(np.abs(c).max())
+    worst = float(corr.max())
+    if worst > tol * scale:
+        idx = np.unravel_index(int(corr.argmax()), c.shape)
+        raise SymmetryViolation(tuple(int(i) for i in idx), worst, tol * scale)
+    return projected
+
+
+def q_components_voigt(c: np.ndarray) -> np.ndarray:
+    """Deviator ``Q`` expressed directly in the stiffness Voigt components.
+
+    With ``A = (4/3) [(C12 - C44) + (C13 - C55) + (C23 - C66)]``:
+
+    * ``Q11 = (2/3)(C23 - C44) - A/6``   ``Q12 = (2/3)(C45 - C36)``
+    * ``Q22 = (2/3)(C13 - C55) - A/6``   ``Q13 = (2/3)(C46 - C25)``
+    * ``Q33 = (2/3)(C12 - C66) - A/6``   ``Q23 = (2/3)(C56 - C14)``
+
+    The leading 2/3 keeps this identical to the deviator produced by
+    :func:`so3_refine` (a doubled variant of these component formulas
+    circulates, but it is inconsistent with the sub-tensor reconstruction
+    identity and is not used here).  The result is traceless by construction;
+    its vanishing defines the partial Cauchy relations
+    ``C23 - C44 = C13 - C55 = C12 - C66 = A/4``, ``C45 = C36``, ``C46 = C25``,
+    ``C56 = C14``.
+    """
+    m = full_to_voigt(check_stiffness(c))
+    a = 4.0 / 3.0 * ((m[0, 1] - m[3, 3]) + (m[0, 2] - m[4, 4]) + (m[1, 2] - m[5, 5]))
+    q11 = 2.0 / 3.0 * (m[1, 2] - m[3, 3]) - a / 6.0
+    q22 = 2.0 / 3.0 * (m[0, 2] - m[4, 4]) - a / 6.0
+    q33 = 2.0 / 3.0 * (m[0, 1] - m[5, 5]) - a / 6.0
+    q12 = 2.0 / 3.0 * (m[3, 4] - m[2, 5])
+    q13 = 2.0 / 3.0 * (m[3, 5] - m[1, 4])
+    q23 = 2.0 / 3.0 * (m[4, 5] - m[0, 3])
+    return np.array([[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]])
+
+
+def general_relation_residual(c: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+    """Residual of the general linear-relation family on the stiffness tensor.
+
+    Returns ``beta (c[i,k,l,j] - c[i,j,k,l]) + gamma (c[i,l,k,j] - c[i,j,k,l])``
+    as a rank-4 array.  For any ``(beta, gamma) != (0, 0)`` this residual
+    vanishes exactly when ``delta = 0``, i.e. every member of the family is
+    equivalent to the Cauchy relations; ``beta = gamma = 1`` gives ``-3 a``
+    and ``beta = 1, gamma = -1`` gives the antisymmetrized-pair form.
+    """
+    if beta == 0.0 and gamma == 0.0:
+        raise ValueError("beta and gamma must not both vanish")
+    c = check_stiffness(c)
+    return beta * (np.einsum("iklj->ijkl", c) - c) + gamma * (
+        np.einsum("ilkj->ijkl", c) - c
+    )
+
+
+def mn_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alternative split into inner-pair symmetric and antisymmetric terms.
+
+    ``m = c[i,(j,k),l]`` and ``n = c[i,[j,k],l]`` with ``m + n = c``.  ``n``
+    vanishes exactly when ``delta = 0``, but ``m`` does not inherit the
+    stiffness symmetries for generic input, so unlike :func:`sa_split` this is
+    not a decomposition inside the stiffness class.  Provided for comparison.
+    """
+    c = check_stiffness(c)
+    swapped = np.einsum("ikjl->ijkl", c)
+    m = 0.5 * (c + swapped)
+    n = 0.5 * (c - swapped)
+    return m, n
 
 
 @pytest.fixture

@@ -35,17 +35,20 @@ from cauchykit.decomp import (
 )
 from cauchykit.tensor_core import (
     cubic_stiffness,
-    frobenius_inner4,
     frobenius_norm2,
     frobenius_norm4,
     isotropic_stiffness,
+    voigt_to_full,
+)
+
+from conftest import (
+    hexagonal_voigt,
     random_rotation,
+    random_spd_voigt,
+    random_symmetric3,
     rotate2,
     rotate4,
 )
-
-from conftest import hexagonal_voigt, random_symmetric3
-from cauchykit.tensor_core import voigt_to_full
 
 TABLE_POSITIVE = {
     "AlSb": (0.894, 0.443, 0.416),
@@ -369,6 +372,64 @@ def test_10_rotation_equivariance(rng):
             worst = max(worst, float(np.abs(mine - reference).max()) / scale)
     check(10, "decomposition commutes with 100 random rotations part by part",
           worst <= 1e-10, f"(worst {worst:.2e})")
+
+
+def inertia(sym: np.ndarray) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts, zero relative to the norm."""
+    values = np.linalg.eigvalsh(sym)
+    tol = 1e-9 * float(np.abs(values).max())
+    return (int((values > tol).sum()), int((values < -tol).sum()),
+            int((np.abs(values) <= tol).sum()))
+
+
+def random_invertible(rng, min_det=0.2):
+    while True:
+        m = rng.normal(size=(3, 3))
+        if abs(np.linalg.det(m)) >= min_det:
+            return m
+
+
+def test_11_gl3_covariance(rng):
+    # c -> L (x) L (x) L (x) L c for an invertible L, which rotate4 applies
+    worst_split = worst_delta = worst_cauchy = 0.0
+    same_inertia = 0
+    count = 200
+    for _ in range(count):
+        c = voigt_to_full(random_spd_voigt(rng))
+        m = random_invertible(rng)
+        split, moved = sa_split(c), sa_split(rotate4(c, m))
+        scale = frobenius_norm4(moved.c)
+        worst_split = max(worst_split, frobenius_norm4(
+            moved.s - rotate4(split.s, m)) / scale)
+        # delta is a weight-2 density: delta' = det(L)^2 L^-T delta L^-1
+        inv = np.linalg.inv(m)
+        delta, delta_moved = decompose(c).delta, decompose(moved.c).delta
+        expect = np.linalg.det(m) ** 2 * inv.T @ delta @ inv
+        worst_delta = max(worst_delta, frobenius_norm2(delta_moved - expect)
+                          / frobenius_norm2(expect))
+        same_inertia += inertia(delta_moved) == inertia(delta)
+        s_moved = sa_split(rotate4(split.s, m))
+        worst_cauchy = max(worst_cauchy, s_moved.a_norm / s_moved.c_norm)
+    check(11, "permutation split commutes with L(x)4 for 200 random invertible L",
+          worst_split <= 1e-12, f"(worst {worst_split:.2e})")
+    check(11, "delta' = det(L)^2 L^-T delta L^-1",
+          worst_delta <= 1e-12, f"(worst {worst_delta:.2e})")
+    check(11, "a = 0 survives any invertible L",
+          worst_cauchy <= 1e-12, f"(worst {worst_cauchy:.2e})")
+    check(11, "the inertia of delta is GL-invariant",
+          same_inertia == count, f"({same_inertia} of {count})")
+
+    w = cubic_stiffness(5.224, 2.044, 1.608)
+    q_before = decompose(w).q_norm
+    q_after = decompose(rotate4(w, random_invertible(rng))).q_norm
+    check(11, "counterexample: Q = 0 (cubic W) is not GL-invariant",
+          q_before <= 1e-12 and q_after > 0.1, f"(q_norm {q_before:.1e} -> {q_after:.3g})")
+    c = sa_split(w).s + a_from_delta(np.diag([1.0, 1.0, -1.5]))
+    a_before = decompose(c).scalar_a
+    a_after = decompose(rotate4(c, np.diag([1.0, 1.0, 0.5]))).scalar_a
+    check(11, "counterexample: the sign of A is not GL-invariant",
+          abs(a_before - 1.0) <= 1e-12 and abs(a_after + 2.0) <= 1e-12,
+          f"(A {a_before:+.3g} -> {a_after:+.3g} under L = diag(1, 1, 0.5))")
 
 
 @pytest.fixture

@@ -14,10 +14,9 @@ from cauchykit.constitutive import (
     stability_bounds,
 )
 from cauchykit.decomp import a_from_delta, decompose
-from cauchykit.tensor_core import cubic_stiffness, isotropic_stiffness
+from cauchykit.tensor_core import cubic_stiffness, isotropic_stiffness, voigt_to_full
 
 from conftest import random_spd_voigt, random_stiffness, random_symmetric3
-from cauchykit.tensor_core import voigt_to_full
 
 W = cubic_stiffness(5.224, 2.044, 1.608)
 

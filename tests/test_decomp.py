@@ -13,10 +13,6 @@ from cauchykit.decomp import (
     cauchy_factor,
     classify,
     decompose,
-    delta_from_a,
-    general_relation_residual,
-    mn_split,
-    q_components_voigt,
     sa_split,
     so3_refine,
 )
@@ -29,9 +25,6 @@ from cauchykit.tensor_core import (
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
-    random_rotation,
-    rotate2,
-    rotate4,
     voigt_to_full,
 )
 
@@ -39,10 +32,16 @@ from conftest import (
     delta_oracle,
     double_trace_oracle,
     full_symmetrization_oracle,
+    general_relation_residual,
     hexagonal_voigt,
     inner4_oracle,
+    mn_split,
+    q_components_voigt,
+    random_rotation,
     random_stiffness,
     random_symmetric3,
+    rotate2,
+    rotate4,
 )
 
 W = cubic_stiffness(5.224, 2.044, 1.608)
@@ -138,15 +137,16 @@ class TestNonFiniteStiffness:
 
 class TestDelta:
     def test_zero(self):
-        assert np.abs(delta_from_a(np.zeros((3, 3, 3, 3)))).max() == 0.0
+        assert np.abs(decompose(np.zeros((3, 3, 3, 3))).delta).max() == 0.0
 
     def test_recovers_unit_delta(self):
         d = np.diag([1.0, 0.0, 0.0])
-        assert np.allclose(delta_from_a(a_from_delta(d)), d, atol=1e-14)
+        assert np.allclose(decompose(a_from_delta(d)).delta, d, atol=1e-14)
 
     def test_component_dictionary(self, rng):
-        a = sa_split(random_stiffness(rng)).a
-        d = delta_from_a(a)
+        c = random_stiffness(rng)
+        a = sa_split(c).a
+        d = decompose(c).delta
         assert a[1, 1, 2, 2] == pytest.approx(d[0, 0], abs=1e-14)
         assert a[2, 2, 0, 1] == pytest.approx(-d[0, 1], abs=1e-14)
         assert a[1, 1, 0, 2] == pytest.approx(-d[0, 2], abs=1e-14)
@@ -155,17 +155,22 @@ class TestDelta:
         assert a[0, 0, 1, 1] == pytest.approx(d[2, 2], abs=1e-14)
 
     def test_matches_loop_oracle(self, rng):
-        a = sa_split(random_stiffness(rng)).a
-        assert np.allclose(delta_from_a(a), delta_oracle(a), atol=1e-13)
+        c = random_stiffness(rng)
+        assert np.allclose(decompose(c).delta, delta_oracle(sa_split(c).a), atol=1e-13)
 
     def test_round_trip_many(self, rng):
         for _ in range(1000):
             d = random_symmetric3(rng)
-            assert np.allclose(delta_from_a(a_from_delta(d)), d, atol=1e-13)
+            assert np.allclose(decompose(a_from_delta(d)).delta, d, atol=1e-13)
 
-    def test_rejects_non_cyclic_input(self, rng):
-        with pytest.raises(ValueError, match="cyclic"):
-            delta_from_a(random_stiffness(rng))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_a_from_delta_rejects_non_finite_input(self, bad):
+        d = np.eye(3)
+        d[0, 1] = d[1, 0] = bad
+        with pytest.raises(ValueError, match="delta has a non-finite entry"):
+            a_from_delta(d)
+        with pytest.raises(ValueError, match="delta has a non-finite entry"):
+            a_from_delta(np.full((3, 3), bad))
 
     def test_unit_matrix_source(self):
         a = a_from_delta(np.eye(3))
@@ -396,14 +401,14 @@ class TestMNSplit:
         for _ in range(20):
             c = random_stiffness(rng)
             _, n = mn_split(c)
-            delta = delta_from_a(sa_split(c).a)
+            delta = decompose(c).delta
             n_zero = np.abs(n).max() <= 1e-12
             d_zero = np.abs(delta).max() <= 1e-12
             assert n_zero == d_zero
         # and force the zero branch explicitly
         s = sa_split(random_stiffness(rng)).s
         _, n = mn_split(s)
-        assert np.abs(delta_from_a(sa_split(s).a)).max() <= 1e-13
+        assert np.abs(decompose(s).delta).max() <= 1e-13
         assert np.abs(n).max() <= 1e-13
 
     def test_m_escapes_the_stiffness_class(self, rng):

@@ -16,11 +16,7 @@ from cauchykit.tensor_core import (
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
-    random_rotation,
-    rotate4,
-    symmetrize_orbit,
     unit_vector,
-    validate_symmetries,
     voigt_to_full,
 )
 from cauchykit.decomp import sa_split
@@ -29,8 +25,12 @@ from conftest import (
     contract_nn_oracle,
     levi_civita_value,
     orbit_average_oracle,
+    random_rotation,
     random_stiffness,
     random_voigt,
+    rotate4,
+    symmetrize_orbit,
+    validate_symmetries,
 )
 
 W_VOIGT = cubic_stiffness(5.224, 2.044, 1.608)
