@@ -16,7 +16,7 @@ import numpy as np
 
 # re-exported: decompose builds the IrreducibleParts the functions here take
 from .decomp import IrreducibleParts, check_stiffness, decompose  # noqa: F401
-from .tensor_core import IDENTITY3, full_to_voigt
+from .tensor_core import IDENTITY3
 
 __all__ = [
     "StrainSplit",
@@ -82,7 +82,8 @@ class BoundsReport:
     Poisson ratio and its classical window are reported too.
     ``voigt_min_eigenvalue`` is the smallest eigenvalue of the material's own
     6x6 Voigt matrix, a necessary-and-sufficient positivity diagnostic for
-    the general anisotropic case.
+    the general anisotropic case, cached on the split as
+    ``SAParts.voigt_min_eigenvalue``.
     """
 
     s_plus_a: float
@@ -237,6 +238,9 @@ def stability_bounds(parts: IrreducibleParts) -> BoundsReport:
     (positivity of isotropic shear energy) and whether the window
     ``0.8 S > A > -S`` holds strictly.  For isotropic input the Poisson ratio
     ``nu = lam / (2 lam + 2 mu)`` and the bound ``-1 < nu < 0.5`` are included.
+    ``voigt_min_eigenvalue`` is read from ``parts.split``, which solves the
+    6x6 eigenproblem on first read and caches it, so every later call on the
+    same ``parts`` costs scalar arithmetic only.
     """
     s, a = parts.scalar_s, parts.scalar_a
     scale = max(abs(s), abs(a), 1e-300)
@@ -254,14 +258,11 @@ def stability_bounds(parts: IrreducibleParts) -> BoundsReport:
             poisson = lam / denom
             poisson_ok = -1.0 < poisson < 0.5
 
-    voigt = full_to_voigt(parts.split.c)
-    min_eig = float(np.linalg.eigvalsh(voigt).min())
-
     return BoundsReport(
         s_plus_a=s + a,
         four_s_minus_five_a=4.0 * s - 5.0 * a,
         a_window_ok=bool(0.8 * s > a > -s),
         poisson_equiv=poisson,
         poisson_ok=poisson_ok,
-        voigt_min_eigenvalue=min_eig,
+        voigt_min_eigenvalue=parts.split.voigt_min_eigenvalue,
     )

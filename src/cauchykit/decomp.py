@@ -27,8 +27,9 @@ the condensation of ``a`` into ``delta``, its inverse :func:`a_from_delta`
 and the symmetrized product behind ``s2``) is tabulated once, at import, from
 the einsum formula its docstring states: a few index gathers replace the
 general contraction, and each entry sums the same nonzero terms in the same
-order, so results are bitwise those of the formula.  Norms are computed once
-per result and cached on it.
+order, so results are bitwise those of the formula.  Norms, and the smallest
+eigenvalue of the split tensor's Voigt matrix, are computed once per result
+and cached on it.
 
 Sign and normalization conventions are fixed once and for all by the
 condensation of ``a`` into ``delta`` that :func:`decompose` performs;
@@ -49,6 +50,7 @@ from .tensor_core import (
     LEVI_CIVITA,
     frobenius_norm2,
     frobenius_norm4,
+    full_to_voigt,
 )
 
 __all__ = [
@@ -117,13 +119,15 @@ def _freeze_fields(obj, names: tuple[str, ...]) -> None:
             object.__setattr__(obj, name, _readonly(np.array(a, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SAParts:
     """Permutation-group split ``c = s + a`` of the tensor ``c``.
 
     ``s`` is invariant under all 24 index permutations; ``a`` carries the
     deviation from the Cauchy relations and satisfies the cyclic identity
     ``a[i,(j,k,l)] = 0`` (symmetrization over the last three indices).
+    Equality and hashing are by identity, as for every type here that holds
+    arrays and caches values derived from them.
     """
 
     c: np.ndarray
@@ -145,8 +149,13 @@ class SAParts:
     def a_norm(self) -> float:
         return frobenius_norm4(self.a)
 
+    @cached_property
+    def voigt_min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the 6x6 Voigt matrix of ``c``."""
+        return float(np.linalg.eigvalsh(full_to_voigt(self.c)).min())
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class IrreducibleParts:
     """Rotation-group refinement of both permutation parts.
 

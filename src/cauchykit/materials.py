@@ -28,10 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
+from .decomp import IrreducibleParts, decompose
 from .tensor_core import voigt_to_full
 
 __all__ = [
@@ -85,12 +87,19 @@ class Density:
         return self.value * DENSITY_UNITS_G_CM3[self.unit]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaterialRecord:
     """Validated material: symmetric Voigt stiffness plus metadata.
 
     ``warnings`` collects non-fatal findings such as crystal-system
-    inconsistencies.
+    inconsistencies.  An unknown ``stiffness_unit`` raises
+    :class:`MaterialError` at construction.
+
+    ``parts`` is the record's decomposition, made on first read and cached,
+    so every report on one record shares one decomposition.  Its arrays are
+    read-only; :meth:`stiffness` and :meth:`stiffness_gpa` still return a
+    fresh writable tensor and do not decompose.  Equality and hashing are by
+    identity: a record carries that cache, and its Voigt matrix is an array.
     """
 
     name: str
@@ -101,9 +110,15 @@ class MaterialRecord:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _check_stiffness_unit(self.stiffness_unit)
         v = np.array(self.voigt, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "voigt", v)
+
+    @cached_property
+    def parts(self) -> IrreducibleParts:
+        """Two-level decomposition of the stiffness in the native unit."""
+        return decompose(self.stiffness())
 
     def stiffness(self) -> np.ndarray:
         """Full rank-4 tensor in the record's native unit."""
@@ -117,6 +132,13 @@ class MaterialRecord:
 def _require(condition: bool, message: str):
     if not condition:
         raise MaterialError(message)
+
+
+def _check_stiffness_unit(unit) -> None:
+    _require(
+        isinstance(unit, str) and unit in STIFFNESS_UNITS_GPA,
+        f"unknown stiffness unit {unit!r}; known: {sorted(STIFFNESS_UNITS_GPA)}",
+    )
 
 
 def _check_unknown_fields(obj: dict, allowed: set[str], where: str,
@@ -257,7 +279,7 @@ def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> Ma
         _require(finite and value > 0, "density value must be a finite positive number")
         unit = d.get("unit")
         _require(
-            unit in DENSITY_UNITS_G_CM3,
+            isinstance(unit, str) and unit in DENSITY_UNITS_G_CM3,
             f"unknown density unit {unit!r}; known: {sorted(DENSITY_UNITS_G_CM3)}",
         )
         density = Density(value=float(d["value"]), unit=unit)
@@ -266,10 +288,8 @@ def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> Ma
     _require(isinstance(stiff, dict), "field 'stiffness' must be an object")
     _check_unknown_fields(stiff, {"unit", "voigt"}, "stiffness", strict, warnings)
     unit = stiff.get("unit")
-    _require(
-        unit in STIFFNESS_UNITS_GPA,
-        f"unknown stiffness unit {unit!r}; known: {sorted(STIFFNESS_UNITS_GPA)}",
-    )
+    # checked here too, so a bad unit is reported before a bad 'voigt' entry
+    _check_stiffness_unit(unit)
     _require("voigt" in stiff, "stiffness object needs a 'voigt' entry")
     voigt = _voigt_from_payload(stiff["voigt"], "stiffness")
 

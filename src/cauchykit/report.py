@@ -6,9 +6,11 @@ most 17 significant digits).  Identical inputs produce byte-identical report
 files.  The decomposition block carries the complete generator set
 (S, P, R, A, Q), so the stiffness tensor can be reassembled from a report
 alone; :func:`reconstruct_stiffness` does exactly that, through the same
-:func:`cauchykit.decomp.generator_tensors` the decomposition uses.  Each
-report decomposes its material once with :func:`cauchykit.decomp.decompose`
-and builds every block from that one result.
+:func:`cauchykit.decomp.generator_tensors` the decomposition uses.  Reports
+on one record share one decomposition: the decomposition, classification and
+energy reports read the record's cached ``parts`` and build every block from
+that one result, so a record is split once however many of them are made.
+The acoustics report decomposes the GPa tensor once for itself.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _bounds_block(parts: decomp.IrreducibleParts) -> dict:
 
 def decomposition_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
     """Full decomposition, classification and bounds report for a material."""
-    parts = decomp.decompose(record.stiffness())
+    parts = record.parts
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
@@ -110,7 +112,7 @@ def decomposition_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
 
 
 def classification_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
-    parts = decomp.decompose(record.stiffness())
+    parts = record.parts
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
@@ -121,7 +123,7 @@ def classification_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
 def energy_report(record: MaterialRecord, eps: np.ndarray) -> dict:
     """Energy attribution report for a strain state (strain is dimensionless;
     energies carry the stiffness unit)."""
-    parts = decomp.decompose(record.stiffness())
+    parts = record.parts
     e = co.energy(parts, eps)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -10,6 +10,7 @@ the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
 """
 
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -257,3 +258,12 @@ def mn_split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def w_file(tmp_path):
+    """The bundled tungsten material file, copied to a temporary path."""
+    path = tmp_path / "w.json"
+    path.write_text((resources.files("cauchykit") / "data" / "w.json").read_text(),
+                    encoding="utf-8")
+    return str(path)

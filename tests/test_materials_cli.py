@@ -9,6 +9,7 @@ from cauchykit.cli import main
 from cauchykit.decomp import classify, decompose
 from cauchykit.materials import (
     MaterialError,
+    MaterialRecord,
     bundled_material,
     list_bundled,
     load_material,
@@ -119,6 +120,23 @@ class TestLoadMaterial:
         doc["stiffness"]["unit"] = "psi"
         with pytest.raises(MaterialError, match="unknown stiffness unit"):
             material_from_dict(doc)
+        doc["stiffness"]["unit"] = ["GPa"]  # unhashable
+        with pytest.raises(MaterialError, match="unknown stiffness unit"):
+            material_from_dict(doc)
+        # the unit is reported before a missing 'voigt' entry
+        del doc["stiffness"]["voigt"]
+        with pytest.raises(MaterialError, match="unknown stiffness unit"):
+            material_from_dict(doc)
+
+    def test_record_rejects_unknown_stiffness_unit(self):
+        w = bundled_material("W")
+        with pytest.raises(MaterialError, match=r"unknown stiffness unit 'furlong'; "
+                                                r"known: \['GPa', 'MPa', 'Mbar'"):
+            MaterialRecord(name="x", voigt=w.voigt, stiffness_unit="furlong")
+        with pytest.raises(MaterialError, match="unknown stiffness unit"):
+            MaterialRecord(name="x", voigt=w.voigt, stiffness_unit=["GPa"])
+        record = MaterialRecord(name="x", voigt=w.voigt, stiffness_unit="kbar")
+        assert np.array_equal(record.stiffness_gpa(), 0.1 * w.stiffness())
 
     def test_unknown_field_strict_vs_lenient(self):
         doc = material_doc(comment="hello")
@@ -143,9 +161,10 @@ class TestLoadMaterial:
         doc = material_doc(density={"value": -1.0, "unit": "g/cm^3"})
         with pytest.raises(MaterialError, match="positive"):
             material_from_dict(doc)
-        doc = material_doc(density={"value": 2.0, "unit": "stone/ft^3"})
-        with pytest.raises(MaterialError, match="unknown density unit"):
-            material_from_dict(doc)
+        for unit in ("stone/ft^3", {"not": "a unit"}):
+            doc = material_doc(density={"value": 2.0, "unit": unit})
+            with pytest.raises(MaterialError, match="unknown density unit"):
+                material_from_dict(doc)
         record = material_from_dict(
             material_doc(density={"value": 2330.0, "unit": "kg/m^3"}))
         assert record.density.in_g_cm3() == pytest.approx(2.33)
@@ -365,13 +384,6 @@ def write_material(tmp_path, doc, name="mat.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
-
-
-@pytest.fixture
-def w_file(tmp_path):
-    return write_material(tmp_path, json.loads(
-        (__import__("importlib").resources.files("cauchykit") / "data" / "w.json")
-        .read_text()))
 
 
 class TestCli:
