@@ -18,8 +18,12 @@ depends on ``n[i]`` alone.  The single-direction form is the batch of one
 with the leading axis dropped.
 
 The pure-longitudinal directions are the critical points of ``f(n) = s:nnnn``
-on the projective plane; :func:`find_pure_longitudinal` finds them by Newton's
-method and checks the set against the Euler characteristic, a necessary
+on the projective plane, which are the real eigenvectors of the symmetric
+tensor ``s`` (``s.nnn = lambda n``).  A generic ``s`` has 13 eigenvectors over
+the complex numbers; :func:`find_pure_longitudinal` computes all 13 as the
+roots of a resultant and polishes the real ones by Newton's method, or, when
+that does not account for every root, runs Newton from golden-angle seeds.
+Either way it checks the set against the Euler characteristic, a necessary
 condition for completeness.  A *family* hit has a singular tangent Hessian, as
 on a continuous ring or cone of pure directions (a transversely isotropic
 Cauchy part has them); the check does not apply there.  No result in this
@@ -36,6 +40,7 @@ import numpy as np
 
 from .constitutive import k_shear
 from .decomp import IrreducibleParts, sa_split
+from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
     EIGEN_PAIRS,
     IDENTITY3,
@@ -83,6 +88,7 @@ _NEWTON_STEP_TOL = 1e-9  # radians; a seed whose last step was longer has not co
 _FLAT_TOL = 1e-10  # relative to ||s||: no Newton step along a flatter direction
 _FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i - 1 (mod 3)
+_MERGE_ENTRIES = 1 << 12  # bound on the point pairs one merge block compares
 
 # Nothing in the library calls scipy.  perfbench/tracing.py still reads
 # ``acoustics.minimize`` and ``acoustics.cKDTree``, so those names resolve here,
@@ -157,7 +163,9 @@ class PureModeHit:
 
 @dataclass(frozen=True)
 class PureModeScan:
-    """Result of a pure-mode search; ``seeds`` is the Newton seed count used."""
+    """Result of a pure-mode search; ``seeds`` is the number of Newton starts:
+    the real eigenvectors of ``s`` when those give the result, else the
+    golden-angle seed count."""
 
     hits: tuple[PureModeHit, ...]
     all_directions_pure: bool
@@ -336,14 +344,16 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 def _canonical_direction(n: np.ndarray) -> np.ndarray:
-    n = np.asarray(n, dtype=float).copy()
+    """The rows of ``n`` (M, 3) as unit vectors with their largest component
+    positive."""
+    n = np.array(n, dtype=float)
     # refinement jitter leaves ~1e-16 residue on components that are exactly
     # zero by symmetry; snap it out before fixing the overall sign
-    n[np.abs(n) < 1e-12 * np.abs(n).max()] = 0.0
-    n /= np.linalg.norm(n)
-    j = int(np.abs(n).argmax())
-    if n[j] < 0:
-        n = -n
+    size = np.abs(n)
+    n[size < 1e-12 * size.max(axis=1)[:, None]] = 0.0
+    # row by row the dot product that np.linalg.norm takes of one vector
+    n /= np.sqrt(np.matmul(n[:, None, :], n[:, :, None]))[:, 0]
+    n[n[np.arange(len(n)), np.abs(n).argmax(axis=1)] < 0] *= -1.0
     return n + 0.0  # clears negative zeros for stable text output
 
 
@@ -356,17 +366,27 @@ def find_pure_longitudinal(
     """Find every pure longitudinal-wave direction: the critical points of
     ``f(n) = s:nnnn`` on the projective plane, ``s`` the Cauchy part of ``c``.
 
-    A batched Riemannian Newton solve runs from 100 golden-angle seeds; each
-    step solves the 2x2 tangent-Hessian system, skipping directions flatter
-    than ``1e-10 ||s||``, and is capped at 0.3 rad.  A seed has converged once
-    its step is at most 1e-9 rad; the solve stops when every seed has, when 15
-    iterations pass without a seed converging for the first time, or after 50
+    They are the real eigenvectors of ``s``.  The search first computes all
+    13 eigenvectors as resultant roots (one ``np.linalg.eig``, see
+    :mod:`cauchykit.tensor_eigen`) and runs Newton from the real ones.
+    That result stands when no root is unresolved between real and complex,
+    every real root converges to a hit of its own, no hit is a ``family``
+    and the Euler check holds.  Then ``seeds`` is the number of real roots
+    and the hits are listed by decreasing ``s:nnnn`` at their roots, the
+    fastest first.  Otherwise the search runs Newton from 100 golden-angle
+    seeds, doubling them while ``certified`` is False up to ``grid_n``, and
+    lists the hits in seed order.  A residual at most ``tol`` on all 100
+    golden-angle seeds gives ``all_directions_pure=True`` before any solve.
+
+    The Newton solve is batched and Riemannian: each step solves the 2x2
+    tangent-Hessian system, skipping directions flatter than ``1e-10 ||s||``,
+    and is capped at 0.3 rad.  A start has converged once its step is at
+    most 1e-9 rad; the solve stops when every start has, when 15 iterations
+    pass without a start converging for the first time, or after 50
     iterations.  Converged points with purity residual at most ``tol`` are
-    kept, labelled by the signs of their tangent-Hessian eigenvalues and merged
-    within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
-    identified; the lowest residual wins), in seed order.  While
-    ``certified`` is False the seeds double up to ``grid_n``; a residual at
-    most ``tol`` on every seed gives ``all_directions_pure=True``.
+    kept, labelled by the signs of their tangent-Hessian eigenvalues and
+    merged within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
+    identified; the lowest residual wins).
     """
     if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
@@ -375,9 +395,14 @@ def find_pure_longitudinal(
     seeds = fibonacci_sphere(_NEWTON_SEEDS)
     if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= tol:
         return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
-    scan = _newton_search(s, rho, _NEWTON_SEEDS, tol)
+    roots = real_eigenvectors(s)
+    if roots is not None:
+        scan = _newton_search(s, rho, roots, tol)
+        if len(scan.hits) == len(roots) and scan.certified:
+            return scan
+    scan = _newton_search(s, rho, seeds, tol)
     while scan.certified is False and scan.seeds < grid_n:
-        scan = _newton_search(s, rho, min(2 * scan.seeds, grid_n), tol)
+        scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)), tol)
     return scan
 
 
@@ -422,11 +447,11 @@ def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _newton_search(s: np.ndarray, rho: float, count: int, tol: float) -> PureModeScan:
-    """One batched Newton solve from ``count`` seeds."""
+def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray, tol: float) -> PureModeScan:
+    """One batched Newton solve from the unit rows of ``seeds``."""
     scale = frobenius_norm4(s)
-    n = fibonacci_sphere(count)
-    converged, last_new = np.zeros(count, dtype=bool), -1
+    n = seeds
+    converged, last_new = np.zeros(len(n), dtype=bool), -1
     for it in range(_NEWTON_ITERATIONS):
         _f, _sc, frame, grad, hess = _local_model(s, n)
         values, vectors = _eig2(hess)
@@ -455,18 +480,38 @@ def _newton_search(s: np.ndarray, rho: float, count: int, tol: float) -> PureMod
     family = np.abs(values).min(axis=1) <= _FAMILY_TOL * scale
     kinds = np.where(family, "family", np.where(
         values[:, 0] < 0, "max", np.where(values[:, 1] > 0, "min", "saddle")))
-    points, alive, winners = n[kept], np.ones(len(kept), dtype=bool), []
-    while alive.any():  # the lowest residual left claims the points it merges
-        k = int(alive.argmax())
-        winners.append(k)
-        gap = np.minimum(np.linalg.norm(points - points[k], axis=1),
-                         np.linalg.norm(points + points[k], axis=1))
-        alive &= gap > np.where(family & family[k], _FAMILY_MERGE, _POINT_MERGE)
+    winners = _merge(n[kept], family)
+    winners = winners[np.argsort(kept[winners])]  # seed order
+    index, kinds = kept[winners], kinds[winners]
     hits = tuple(
-        PureModeHit(_canonical_direction(n[i]), float(residual[i]),
+        PureModeHit(direction, float(residual[i]),
                     math.sqrt(f[i] / rho) if f[i] > 0 else math.nan, int(i), str(kind))
-        for i, kind in sorted(zip(kept[winners], kinds[winners])))  # seed order
-    return PureModeScan(hits=hits, all_directions_pure=False, seeds=count)
+        for direction, i, kind in zip(_canonical_direction(n[index]), index, kinds))
+    return PureModeScan(hits=hits, all_directions_pure=False, seeds=len(seeds))
+
+
+def _merge(points: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """Indices of the points that survive the merge, in claim order.
+
+    ``points`` are sorted by residual; the first point still alive claims
+    every point within its merge radius, antipodes identified.  The gaps
+    among the alive points are computed for a block of the next of them at
+    a time, at most ``_MERGE_ENTRIES`` pairs: all at once for up to 64."""
+    alive, winners = np.ones(len(points), dtype=bool), []
+    while alive.any():
+        live = np.flatnonzero(alive)
+        block = live[:max(1, _MERGE_ENTRIES // len(live))]
+        coords, ends = points[live].T[:, None, :], points[block].T[:, :, None]
+        # the chord to each point and to its antipode, summed as np.linalg.norm sums
+        chord = [np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+                 for d in (coords - ends, coords + ends)]
+        apart = np.minimum(*chord) > np.where(family[block][:, None] & family[live],
+                                              _FAMILY_MERGE, _POINT_MERGE)
+        for row, k in enumerate(block.tolist()):
+            if alive[k]:
+                winners.append(k)
+                alive[live] &= apart[row]
+    return np.array(winners, dtype=int)
 
 
 def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray | None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -80,8 +81,27 @@ class MaterialError(ValueError):
 
 @dataclass(frozen=True)
 class Density:
+    """A density ``value`` in ``unit``.  A value that is not a finite positive
+    real number, or a unit not in ``DENSITY_UNITS_G_CM3``, raises
+    :class:`MaterialError` at construction, the value first; ``value`` is
+    stored as a float."""
+
     value: float
     unit: str
+
+    def __post_init__(self):
+        value = self.value
+        try:  # an integer beyond the float range does not convert
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        _require(finite and value > 0, "density value must be a finite positive number")
+        _require(
+            isinstance(self.unit, str) and self.unit in DENSITY_UNITS_G_CM3,
+            f"unknown density unit {self.unit!r}; known: {sorted(DENSITY_UNITS_G_CM3)}",
+        )
+        object.__setattr__(self, "value", float(value))
 
     def in_g_cm3(self) -> float:
         return self.value * DENSITY_UNITS_G_CM3[self.unit]
@@ -270,19 +290,7 @@ def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> Ma
         d = doc["density"]
         _require(isinstance(d, dict), "field 'density' must be an object")
         _check_unknown_fields(d, {"value", "unit"}, "density", strict, warnings)
-        value = d.get("value")
-        try:  # an integer beyond the float range does not convert
-            finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:
-            finite = False
-        _require(finite and value > 0, "density value must be a finite positive number")
-        unit = d.get("unit")
-        _require(
-            isinstance(unit, str) and unit in DENSITY_UNITS_G_CM3,
-            f"unknown density unit {unit!r}; known: {sorted(DENSITY_UNITS_G_CM3)}",
-        )
-        density = Density(value=float(d["value"]), unit=unit)
+        density = Density(value=d.get("value"), unit=d.get("unit"))
 
     stiff = doc.get("stiffness")
     _require(isinstance(stiff, dict), "field 'stiffness' must be an object")

@@ -2,7 +2,9 @@
 
 The loop oracles here deliberately avoid the library's einsum-based code
 paths: they loop over explicit index ranges so that agreement with the library
-is a genuine cross-check, not a tautology.  The formula oracles below them are
+is a genuine cross-check, not a tautology.  The pure-mode oracles keep the
+search's earlier per-hit merge and canonical direction, and build the tables
+of its algebraic seeds one entry at a time.  The formula oracles below them are
 independent forms the library does not use: the symmetry-orbit projection, the
 Voigt-component formula for ``Q``, the general family of Cauchy relations and
 the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
@@ -10,13 +12,20 @@ the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
 """
 
 import itertools
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from cauchykit import acoustics
 from cauchykit.decomp import check_stiffness
-from cauchykit.tensor_core import SymmetryViolation, full_to_voigt, voigt_to_full
+from cauchykit.tensor_core import (
+    SymmetryViolation,
+    frobenius_norm4,
+    full_to_voigt,
+    voigt_to_full,
+)
 
 
 def random_voigt(rng, scale=1.0):
@@ -149,6 +158,111 @@ def hexagonal_voigt(c11, c12, c13, c33, c44):
     m[3, 3] = m[4, 4] = c44
     m[5, 5] = 0.5 * (c11 - c12)
     return m
+
+
+def canonical_direction_oracle(n):
+    """One hit direction made canonical, as the pure-mode search did per hit
+    before it took all hits at once."""
+    n = np.asarray(n, dtype=float).copy()
+    n[np.abs(n) < 1e-12 * np.abs(n).max()] = 0.0
+    n /= np.linalg.norm(n)
+    j = int(np.abs(n).argmax())
+    if n[j] < 0:
+        n = -n
+    return n + 0.0
+
+
+def newton_search_oracle(s, rho, count, tol):
+    """The pure-mode Newton solve from ``count`` golden-angle seeds with its
+    merge as a loop over winners (two ``np.linalg.norm`` calls each) and one
+    canonical direction per hit: the form ``acoustics._newton_search`` had
+    before it merged and canonicalized in batches."""
+    scale = frobenius_norm4(s)
+    n = acoustics.fibonacci_sphere(count)
+    converged, last_new = np.zeros(count, dtype=bool), -1
+    for it in range(acoustics._NEWTON_ITERATIONS):
+        _f, _sc, frame, grad, hess = acoustics._local_model(s, n)
+        values, vectors = acoustics._eig2(hess)
+        inverse = np.divide(1.0, values, out=np.zeros_like(values),
+                            where=np.abs(values) > acoustics._FLAT_TOL * scale)
+        step = -np.einsum("nk,nkc->nc", np.einsum("nkc,nc->nk", vectors, grad) * inverse,
+                          vectors)
+        length = np.sqrt(np.add.reduce(step * step, 1))
+        step *= np.minimum(1.0, acoustics._NEWTON_STEP_CAP / np.maximum(length, 1e-300))[:, None]
+        n = n + np.einsum("nia,na->ni", frame, step)
+        n /= np.sqrt(np.add.reduce(n * n, 1))[:, None]
+        done = length <= acoustics._NEWTON_STEP_TOL
+        if done.all():
+            break
+        if (done & ~converged).any():
+            converged |= done
+            last_new = it
+        elif it - last_new >= acoustics._NEWTON_PATIENCE:
+            break
+
+    f, sc, _frame, _grad, hess = acoustics._local_model(s, n)
+    residual = acoustics._purity(sc, n)
+    kept = np.flatnonzero((length <= acoustics._NEWTON_STEP_TOL) & (residual <= tol))
+    kept = kept[np.argsort(residual[kept], kind="stable")]
+    values = acoustics._eig2(hess[kept])[0]
+    family = np.abs(values).min(axis=1) <= acoustics._FAMILY_TOL * scale
+    kinds = np.where(family, "family", np.where(
+        values[:, 0] < 0, "max", np.where(values[:, 1] > 0, "min", "saddle")))
+    points, alive, winners = n[kept], np.ones(len(kept), dtype=bool), []
+    while alive.any():  # the lowest residual left claims the points it merges
+        k = int(alive.argmax())
+        winners.append(k)
+        gap = np.minimum(np.linalg.norm(points - points[k], axis=1),
+                         np.linalg.norm(points + points[k], axis=1))
+        alive &= gap > np.where(family & family[k], acoustics._FAMILY_MERGE,
+                                acoustics._POINT_MERGE)
+    hits = tuple(
+        acoustics.PureModeHit(canonical_direction_oracle(n[i]), float(residual[i]),
+                              math.sqrt(f[i] / rho) if f[i] > 0 else math.nan, int(i), str(kind))
+        for i, kind in sorted(zip(kept[winners], kinds[winners])))  # seed order
+    return acoustics.PureModeScan(hits=hits, all_directions_pure=False, seeds=count)
+
+
+def chart_tables_oracle(r, sigma):
+    """The maps of ``tensor_eigen.real_eigenvectors``, built one entry at a
+    time.  ``r15[e, (a,b,c,d)] = (r[i,a] r[j,b]) (r[k,c] r[l,d])`` for the
+    sorted index tuple ``(i, j, k, l)`` of each of the 15 distinct entries of
+    a totally symmetric tensor, ordered by their counts of index 0 and 1;
+    ``q`` gives ``Q(t) = t^4 P(sigma + 1/t)`` for the Sylvester matrix ``P``
+    of ``y g3 - g2`` (3 rows) and ``x g3 - g1`` (4 rows) in ``y``, with
+    ``g_i = s[i,j,k,l] n_j n_k n_l`` at ``n = (x, y, 1)`` and every
+    coefficient a form in those 15 entries."""
+    reps = sorted(itertools.combinations_with_replacement(range(3), 4),
+                  key=lambda rep: (rep.count(0), rep.count(1)))
+    r15 = np.zeros((15, 81))
+    for e, (i, j, k, l) in enumerate(reps):
+        for a, b, c, d in itertools.product(range(3), repeat=4):
+            r15[e, 27 * a + 9 * b + 3 * c + d] = (r[i, a] * r[j, b]) * (r[k, c] * r[l, d])
+    g = [{}, {}, {}]  # g[i][(x power, y power)]: coefficient form
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        key = ((j, k, l).count(0), (j, k, l).count(1))
+        g[i].setdefault(key, np.zeros(15))[reps.index(tuple(sorted((i, j, k, l))))] += 1.0
+    e1, e2 = {}, {}
+    for (px, py), form in g[2].items():
+        e1[(px, py + 1)] = e1.get((px, py + 1), np.zeros(15)) + form
+        e2[(px + 1, py)] = e2.get((px + 1, py), np.zeros(15)) + form
+    for key, form in g[1].items():
+        e1[key] = e1.get(key, np.zeros(15)) - form
+    for key, form in g[0].items():
+        e2[key] = e2.get(key, np.zeros(15)) - form
+    p = np.zeros((5, 7, 7, 15))  # x power, row, column (y power)
+    for row in range(7):
+        poly, shift = (e1, row) if row < 3 else (e2, row - 3)
+        for (px, py), form in poly.items():
+            p[px, row, py + shift] += form
+    sigma_power = [1.0]
+    for _ in range(4):
+        sigma_power.append(sigma_power[-1] * sigma)
+    q = np.zeros((5, 7, 7, 15))
+    for t in range(5):
+        for px in range(4 - t, 5):  # (sigma + 1/t)^px t^4 has t^t from m = 4 - t
+            q[t] += math.comb(px, 4 - t) * sigma_power[px - 4 + t] * p[px]
+    return r15, q.reshape(245, 15)
 
 
 # ---------------------------------------------------------------- formula oracles

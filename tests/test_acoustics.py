@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cauchykit import acoustics
+from cauchykit import acoustics, tensor_eigen
 from cauchykit.acoustics import (
     ChristoffelBundle,
     christoffel,
@@ -22,16 +22,21 @@ from cauchykit.acoustics import (
 )
 from cauchykit.decomp import a_from_delta, decompose, sa_split
 from cauchykit.report import scan_rows, write_scan_csv
+from cauchykit.tensor_eigen import real_eigenvectors
 from cauchykit.tensor_core import (
     cubic_stiffness,
     frobenius_norm2,
+    frobenius_norm4,
     isotropic_stiffness,
     voigt_to_full,
 )
 
 from conftest import (
+    canonical_direction_oracle,
+    chart_tables_oracle,
     contract_nn_oracle,
     hexagonal_voigt,
+    newton_search_oracle,
     random_spd_voigt,
     random_stiffness,
     random_symmetric3,
@@ -420,7 +425,7 @@ class TestPureModeCertificate:
         scan = find_pure_longitudinal(W * scale, 1.0)
         assert scan.morse == {"max": 4, "min": 3, "saddle": 6, "family": 0}
         assert scan.certified is True
-        assert scan.seeds == 100  # no doubling was needed
+        assert scan.seeds == len(scan.hits) == 13  # one Newton start per real root
         kinds = {}
         for hit in scan.hits:
             zeros = int(np.count_nonzero(hit.direction == 0.0))
@@ -463,7 +468,7 @@ class TestPureModeCertificate:
         scan = find_pure_longitudinal(c, 1.0)
         assert scan.morse == {"max": 1, "min": 2, "saddle": 2, "family": 0}
         assert scan.certified is True
-        assert scan.seeds == 100
+        assert scan.seeds == len(scan.hits)  # the algebraic path
         axis = [h for h in scan.hits if abs(h.direction[2] - 1.0) < 1e-12]
         assert [h.kind for h in axis] == ["saddle"]
 
@@ -485,11 +490,14 @@ class TestPureModeCertificate:
             find_pure_longitudinal(c, 1.0)
 
     def test_random_tensors_certify_at_100_seeds(self):
+        # each takes the algebraic path, one Newton start per real root, but
+        # seed 5, whose 14th chart root is not clear of the 13th, and so
+        # falls back to the 100 golden-angle seeds
         for seed in range(40):
             c = voigt_to_full(random_spd_voigt(np.random.default_rng(seed)))
             scan = find_pure_longitudinal(c, 1.0)
             count = len(scan.hits)
-            assert scan.certified is True and scan.seeds == 100, seed
+            assert scan.certified is True and scan.seeds == (100 if seed == 5 else count), seed
             assert count % 2 == 1 and 3 <= count <= 13, (seed, count)
 
 
@@ -498,16 +506,18 @@ class TestNewtonSolve:
     eigen solver and its tangent frame."""
 
     def test_solve_stops_once_no_new_seed_converges(self, monkeypatch):
-        # 4 of the 100 seeds never converge here; running them to the
-        # 50-iteration cap costs 52 local models (one for the all-pure test,
-        # one after the loop)
+        # 4 of the 100 golden-angle seeds never converge here; running them
+        # to the 50-iteration cap costs 51 local models (one after the loop).
+        # The search itself takes the algebraic path on this tensor, so the
+        # golden-angle solve is called directly.
         calls = []
         model = acoustics._local_model
         monkeypatch.setattr(acoustics, "_local_model",
                             lambda s, n: calls.append(len(n)) or model(s, n))
         c = voigt_to_full(random_spd_voigt(np.random.default_rng(0)))
-        scan = find_pure_longitudinal(c, 1.0)
-        assert len(calls) < 40
+        scan = acoustics._newton_search(sa_split(c).s, 1.0, fibonacci_sphere(100),
+                                        acoustics.PURITY_TOL)
+        assert len(calls) < 39
         assert scan.morse == {"max": 2, "min": 2, "saddle": 3, "family": 0}
         assert scan.certified is True and scan.seeds == 100
 
@@ -547,6 +557,181 @@ class TestNewtonSolve:
                                    np.broadcast_to(np.eye(2), (len(n), 2, 2)),
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.einsum("ni,nia->na", n, frame), 0.0, rtol=0, atol=1e-15)
+
+
+def golden_angle_scan(c, rho):
+    """The search with the algebraic seeds switched off."""
+    original = acoustics.real_eigenvectors
+    acoustics.real_eigenvectors = lambda s: None
+    try:
+        return find_pure_longitudinal(c, rho)
+    finally:
+        acoustics.real_eigenvectors = original
+
+
+def hit_record(hit):
+    """Every field of a hit, the direction by its bytes and NaN comparable."""
+    velocity = "nan" if math.isnan(hit.velocity) else hit.velocity
+    return hit.direction.tobytes(), hit.residual, velocity, hit.seed_index, hit.kind
+
+
+def near_hexagonal(eps):
+    h = voigt_to_full(hexagonal_voigt(400.0, 140.0, 120.0, 350.0, 100.0))
+    rng = np.random.default_rng(1)
+    return h + eps * 4 / 100 * voigt_to_full(random_spd_voigt(rng) * rng.uniform(80.0, 200.0))
+
+
+class TestAlgebraicSeeds:
+    """The search seeds Newton with the real eigenvectors of ``s`` and keeps
+    that result only when it accounts for every root; otherwise it runs the
+    golden-angle search."""
+
+    @staticmethod
+    def assert_same_hit_set(scan, golden):
+        assert scan.morse == golden.morse and scan.certified == golden.certified
+        a = np.array([h.direction for h in scan.hits])
+        b = np.array([h.direction for h in golden.hits])
+        assert a.shape == b.shape
+        chord = np.minimum(np.linalg.norm(a[:, None] - b[None], axis=2),
+                           np.linalg.norm(a[:, None] + b[None], axis=2))
+        match = chord.argmin(axis=1)
+        assert chord.min(axis=1).max() <= 1e-9 and chord.min(axis=0).max() <= 1e-9
+        assert sorted(match.tolist()) == list(range(len(b)))
+        assert [h.kind for h in scan.hits] == [golden.hits[j].kind for j in match]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+    def test_cubic_paths_agree(self, scale):
+        scan = find_pure_longitudinal(W * scale, 1.0)
+        assert scan.seeds == len(scan.hits) == 13
+        self.assert_same_hit_set(scan, golden_angle_scan(W * scale, 1.0))
+
+    @pytest.mark.parametrize("c44", [59.99, 59.999, 59.9999])
+    def test_pitchfork_paths_agree(self, c44):
+        c = voigt_to_full(orthorhombic_voigt(
+            300.0, 250.0, 200.0, 100.0, 90.0, 80.0, c44, 70.0, 80.0))
+        scan = find_pure_longitudinal(c, 1.0)
+        assert scan.seeds == len(scan.hits) == 5
+        self.assert_same_hit_set(scan, golden_angle_scan(c, 1.0))
+
+    def test_random_paths_agree(self):
+        algebraic = 0
+        for seed in range(40):
+            c = voigt_to_full(random_spd_voigt(np.random.default_rng(seed)))
+            scan = find_pure_longitudinal(c, 2.5)
+            algebraic += scan.seeds == len(scan.hits)
+            self.assert_same_hit_set(scan, golden_angle_scan(c, 2.5))
+        assert algebraic == 39  # all but seed 5
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_near_hexagonal_paths_agree(self, eps):
+        # 1e-3 lies close to the root-gap limit, so either path may run
+        c = near_hexagonal(eps)
+        scan = find_pure_longitudinal(c, 4.0)
+        assert len(scan.hits) == 7 and scan.certified is True
+        self.assert_same_hit_set(scan, golden_angle_scan(c, 4.0))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-5, 1e-4])
+    def test_hexagonal_falls_back_bitwise(self, monkeypatch, eps):
+        # an exact family makes P(sigma) singular, which ends the attempt
+        # before the eigen solve; close to a family the 13 chart roots do
+        # not stand clear of the roots at infinity
+        c = near_hexagonal(eps)
+        with monkeypatch.context() as m:
+            if eps == 0.0:
+                m.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
+            assert real_eigenvectors(sa_split(c).s) is None
+        scan, golden = find_pure_longitudinal(c, 4.0), golden_angle_scan(c, 4.0)
+        assert scan.seeds == golden.seeds == 100
+        assert scan.all_directions_pure is golden.all_directions_pure is False
+        assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in golden.hits]
+
+    @pytest.mark.parametrize("change", ["duplicate", "drop"])
+    def test_roots_that_miss_a_hit_fall_back(self, monkeypatch, change):
+        # a root polished onto another's hit, or a missing maximum (which
+        # breaks the Euler check), sends the search to the golden-angle seeds
+        roots = real_eigenvectors(sa_split(W).s)
+        bad = np.vstack([roots, roots[:1]]) if change == "duplicate" else roots[1:]
+        monkeypatch.setattr(acoustics, "real_eigenvectors", lambda s: bad)
+        scan = find_pure_longitudinal(W, 1.0)
+        assert scan.seeds == 100 and len(scan.hits) == 13 and scan.certified is True
+
+    def test_tolerance_nothing_meets_falls_back(self):
+        # no polished root meets tol=1e-20, so the algebraic result is
+        # dropped and the golden-angle search doubles its seeds to the cap
+        c = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
+        assert real_eigenvectors(sa_split(c).s) is not None
+        scan = find_pure_longitudinal(c, 1.0, grid_n=400, tol=1e-20)
+        assert scan.hits == () and scan.seeds == 400 and scan.certified is False
+
+    def test_hits_are_listed_by_decreasing_velocity(self):
+        scan = find_pure_longitudinal(W, 19.25)
+        velocities = [h.velocity for h in scan.hits]
+        assert velocities == sorted(velocities, key=lambda v: -round(v, 12))
+        assert [h.kind for h in scan.hits] == ["max"] * 4 + ["saddle"] * 6 + ["min"] * 3
+        assert [h.seed_index for h in scan.hits] == list(range(13))
+
+    def test_seeds_are_the_real_eigenvectors(self, rng):
+        for _ in range(5):
+            s = sa_split(voigt_to_full(random_spd_voigt(rng))).s
+            seeds = real_eigenvectors(s)
+            np.testing.assert_allclose(np.linalg.norm(seeds, axis=1), 1.0, rtol=0, atol=1e-15)
+            g = np.einsum("ijkl,nj,nk,nl->ni", s, seeds, seeds, seeds)
+            along = np.einsum("ni,ni->n", g, seeds)[:, None] * seeds
+            # seeds, to be polished: a root far out in the chart is the least accurate
+            assert np.abs(g - along).max() <= 1e-6 * frobenius_norm4(s)
+            f = np.einsum("ni,ni->n", g, seeds)
+            assert (np.diff(f) <= 0).all()
+
+    def test_tables_equal_loop_oracle(self):
+        r, r15, q = tensor_eigen._tables()
+        np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-15)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-15)
+        oracle_r15, oracle_q = chart_tables_oracle(r, tensor_eigen._SHIFT)
+        assert r15.tobytes() == oracle_r15.tobytes() and q.tobytes() == oracle_q.tobytes()
+        assert not (r.flags.writeable or r15.flags.writeable or q.flags.writeable)
+
+
+class TestBatchedMerge:
+    """The merge and the canonical directions are computed for all hits at
+    once, bitwise equal to the loop over winners they replace."""
+
+    @pytest.mark.parametrize("case", [
+        "hexagonal", "near-hexagonal-1e-6", "near-hexagonal-1e-5", "cubic", "cubic-2000",
+        "non-causal", "random", "tight-tol"])
+    def test_equals_the_winner_loop(self, case):
+        count, tol, rho = 100, acoustics.PURITY_TOL, 1.0
+        if case == "hexagonal":
+            c = voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
+        elif case.startswith("near-hexagonal"):
+            c, rho = near_hexagonal(float(case.split("-")[-1])), 4.0
+        elif case.startswith("cubic"):
+            c = W
+            count = 2000 if case.endswith("2000") else 100  # 2000 points: merged in blocks
+        elif case == "non-causal":
+            b = np.random.default_rng(0).uniform(-1, 1, (6, 6))
+            c, rho = voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100), 3.0
+        else:
+            c = voigt_to_full(random_spd_voigt(np.random.default_rng(7)))
+            tol = 1e-20 if case == "tight-tol" else tol
+        s = sa_split(c).s
+        scan = acoustics._newton_search(s, rho, fibonacci_sphere(count), tol)
+        oracle = newton_search_oracle(s, rho, count, tol)
+        assert scan.seeds == oracle.seeds == count
+        assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
+        if case == "hexagonal":
+            assert scan.morse["family"] > 50
+
+    def test_canonical_direction_rows(self, rng):
+        r2, r3 = math.sqrt(0.5), math.sqrt(1.0 / 3.0)
+        rows = np.vstack([
+            [[-0.0, 0.0, -1.0], [1e-17, -1.0, 0.0], [-r2, r2, 0.0], [r2, -r2, 0.0],
+             [-r3, -r3, -r3], [0.6, -0.8, -1e-13], [-0.0, -0.6, 0.8 + 1e-16]],
+            rng.normal(size=(200, 3)),
+        ])
+        rows[7:] /= np.linalg.norm(rows[7:], axis=1)[:, None]
+        batch = acoustics._canonical_direction(rows)
+        assert [row.tobytes() for row in batch] == [
+            canonical_direction_oracle(row).tobytes() for row in rows]
 
 
 class TestShearPolarization:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from cauchykit.cli import main
 from cauchykit.decomp import classify, decompose
 from cauchykit.materials import (
+    Density,
     MaterialError,
     MaterialRecord,
     bundled_material,
@@ -137,6 +138,32 @@ class TestLoadMaterial:
             MaterialRecord(name="x", voigt=w.voigt, stiffness_unit=["GPa"])
         record = MaterialRecord(name="x", voigt=w.voigt, stiffness_unit="kbar")
         assert np.array_equal(record.stiffness_gpa(), 0.1 * w.stiffness())
+
+    def test_density_checks_its_unit(self):
+        with pytest.raises(MaterialError, match=r"unknown density unit 'furlong'; "
+                                                r"known: \['g/cm\^3', 'kg/m\^3'\]"):
+            Density(2.0, "furlong")
+        with pytest.raises(MaterialError, match="unknown density unit"):
+            Density(2.0, ["g/cm^3"])  # unhashable: not a TypeError
+        assert Density(2330, "kg/m^3").in_g_cm3() == pytest.approx(2.33)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, -0.0, True, "2.0",
+                                       10**400],
+                             ids=["nan", "inf", "zero", "negative", "negative-zero", "bool",
+                                  "string", "beyond-float"])
+    def test_density_checks_its_value(self, value):
+        with pytest.raises(MaterialError,
+                           match="density value must be a finite positive number"):
+            Density(value, "g/cm^3")
+
+    def test_density_value_is_checked_before_its_unit(self):
+        with pytest.raises(MaterialError, match="density value"):
+            Density(math.nan, "furlong")
+        doc = material_doc(density={"value": -1.0, "unit": "furlong"})
+        with pytest.raises(MaterialError, match="density value"):
+            material_from_dict(doc)
+        density = Density(np.float32(2.5), "g/cm^3")
+        assert type(density.value) is float and density.value == 2.5
 
     def test_unknown_field_strict_vs_lenient(self):
         doc = material_doc(comment="hello")
@@ -539,7 +566,7 @@ class TestCli:
         assert blocks[0] == blocks[1]
         block = json.loads(blocks[0])
         assert list(block) == ["all_directions_pure", "seeds", "morse", "certified", "hits"]
-        assert block["seeds"] == 100 and block["certified"] is True
+        assert block["seeds"] == len(block["hits"]) == 13 and block["certified"] is True
         assert block["morse"] == {"max": 4, "min": 3, "saddle": 6, "family": 0}
         assert sorted(h["kind"] for h in block["hits"]) == ["max"] * 4 + ["min"] * 3 \
             + ["saddle"] * 6

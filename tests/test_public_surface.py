@@ -14,7 +14,7 @@ from cauchykit import decomp, report, tensor_core
 
 MODULES = ["cauchykit", "cauchykit.tensor_core", "cauchykit.decomp",
            "cauchykit.constitutive", "cauchykit.acoustics", "cauchykit.materials",
-           "cauchykit.report"]
+           "cauchykit.report", "cauchykit.tensor_eigen"]
 
 # moved to conftest.py (oracles and fixtures) or deleted (delta_from_a)
 GONE = ["delta_from_a", "mn_split", "general_relation_residual", "q_components_voigt",
