@@ -10,12 +10,14 @@ drive everything in this module: the velocity of a pure longitudinal wave and
 the polarization of an isolated pure shear wave depend on the Cauchy part
 only.
 
-:func:`christoffel` and :func:`wave_solve` take one direction ``(3,)`` or a
-whole direction array ``(N, 3)``.  A batch splits the stiffness tensor once,
-contracts it with every direction in one matrix product and solves all ``N``
-eigenproblems in one stacked LAPACK call; row ``i`` of a batched result
-depends on ``n[i]`` alone.  The single-direction form is the batch of one
-with the leading axis dropped.
+:func:`christoffel`, :func:`wave_solve` and the velocity, residual and sum
+functions take one direction ``(3,)`` or a whole direction array ``(N, 3)``
+(:func:`shear_polarization` and :func:`shear_condition_residual` take one).
+A batch splits the stiffness tensor once, contracts it with every direction
+in one matrix product and solves all ``N`` eigenproblems in one stacked
+LAPACK call; row ``i`` of a batched result depends on ``n[i]`` alone.  The
+single-direction form is the batch of one with the leading axis dropped.
+Every velocity is NaN for a non-causal mode (``v^2 <= 0``), never 0.
 
 The pure-longitudinal directions are the critical points of ``f(n) = s:nnnn``
 on the projective plane, which are the real eigenvectors of the symmetric
@@ -42,7 +44,6 @@ from .constitutive import k_shear
 from .decomp import IrreducibleParts, sa_split
 from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
-    EIGEN_PAIRS,
     IDENTITY3,
     degenerate_mask,
     degenerate_pairs,
@@ -73,8 +74,7 @@ __all__ = [
     "fibonacci_sphere",
 ]
 
-DEGENERACY_TOL = 1e-9
-PURITY_TOL = 1e-8
+PURITY_TOL = 1e-8  # relative eigen residual of a pure longitudinal direction
 _FAMILY_MERGE = 2.0 * math.sin(math.radians(0.25))  # chord of 0.5 degrees
 _POINT_MERGE = 1e-7  # chord; isolated hits closer than this are one point
 _NEWTON_SEEDS = 100
@@ -243,17 +243,14 @@ def christoffel(c: np.ndarray, n, rho: float) -> ChristoffelBundle:
 def wave_solve(bundle: ChristoffelBundle) -> WaveSolution:
     """Phase velocities and polarizations for one direction or a batch."""
     values, vectors = eig_sym3(bundle.gamma)
-    velocities = np.where(values > 0, np.sqrt(np.maximum(values, 0.0)), np.nan)
     purity = np.abs(np.einsum("...ik,...i->...k", vectors, bundle.direction))
-    scale = np.linalg.norm(bundle.gamma, axis=(-2, -1))
-    degenerate = degenerate_mask(values, scale, DEGENERACY_TOL)
+    degenerate = degenerate_mask(values, np.linalg.norm(bundle.gamma, axis=(-2, -1)))
     causal = np.all(values > 0, axis=-1)
     if values.ndim == 1:
-        degenerate = tuple(p for p, hit in zip(EIGEN_PAIRS, degenerate) if hit)
-        causal = bool(causal)
+        degenerate, causal = degenerate_pairs(degenerate), bool(causal)
     return WaveSolution(
         eigenvalues=values,
-        velocities=velocities,
+        velocities=_velocity(values),
         polarizations=vectors,
         degenerate_pairs=degenerate,
         longitudinal_purity=purity,
@@ -275,7 +272,7 @@ def sum_squared_velocities(parts: IrreducibleParts, n, rho: float) -> float:
     total = (2.0 * parts.scalar_s - parts.scalar_a) / (6.0 * rho) + np.einsum(
         "...i,ij,...j->...", n, l_matrix, n
     ) / (2.0 * rho)
-    return float(total) if n.ndim == 1 else total
+    return _scalar_or_array(total)
 
 
 def critical_directions(parts: IrreducibleParts) -> CriticalDirections:
@@ -290,7 +287,7 @@ def critical_directions(parts: IrreducibleParts) -> CriticalDirections:
     return CriticalDirections(
         eigenvalues=values,
         directions=vectors,
-        degenerate_pairs=tuple(degenerate_pairs(values, scale, DEGENERACY_TOL)),
+        degenerate_pairs=degenerate_pairs(degenerate_mask(values, scale)),
         fully_degenerate=bool(scale <= 1e-12 * invariant_scale),
     )
 
@@ -303,12 +300,9 @@ def longitudinal_velocity(bundle: ChristoffelBundle) -> float:
     independent of the non-Cauchy part.  In closed form
     ``v_L^2 = (S/5 + (6/7) P:nn + R:nnnn) / rho`` (the scalar coefficient is
     S/5, not S/15: contracting ``g + 2 nn`` with ``nn`` gives 3, not 1).
+    NaN where ``v_L^2 <= 0``; a batched bundle gives an array ``(N,)``.
     """
-    n = bundle.direction
-    v2 = float(n @ bundle.cauchy @ n)
-    if v2 < 0:
-        raise ValueError(f"non-causal direction: v_L^2 = {v2}")
-    return math.sqrt(v2)
+    return _scalar_or_array(_velocity(_rayleigh(bundle.cauchy, bundle.direction)))
 
 
 def pure_longitudinal_residual(bundle: ChristoffelBundle) -> float:
@@ -319,16 +313,31 @@ def pure_longitudinal_residual(bundle: ChristoffelBundle) -> float:
     condition for one pure longitudinal plus two pure shear waves.  A
     batched bundle gives an array ``(N,)``.
     """
-    out = _purity(bundle.cauchy, bundle.direction)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_purity(bundle.cauchy, bundle.direction))
 
 
-def _purity(cauchy: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # invariant under scaling ``cauchy``, so the density may be left out
-    sn = np.einsum("...il,...l->...i", cauchy, n)
+def _purity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Eigen residual ``||m.n - (n.m.n) n|| / ||m||`` of the unit rows ``n``
+    (..., 3), 0 where ``m = 0``; scale-free, so the density may be left out."""
+    sn = np.einsum("...il,...l->...i", m, n)
     residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
-    scale = np.linalg.norm(cauchy, axis=(-2, -1))
+    scale = np.linalg.norm(m, axis=(-2, -1))
     return np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
+
+
+def _rayleigh(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rayleigh quotient ``v . m . v / v . v`` of the rows ``v`` (..., 3)."""
+    return np.einsum("...i,...ij,...j->...", v, m, v) / np.einsum("...i,...i->...", v, v)
+
+
+def _velocity(v2: np.ndarray) -> np.ndarray:
+    """``sqrt(v2)``, and NaN for a non-causal ``v2 <= 0``, never 0."""
+    return np.where(v2 > 0, np.sqrt(np.maximum(v2, 0.0)), np.nan)
+
+
+def _scalar_or_array(x: np.ndarray):
+    """A 0-d result as a float, a batched one as the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -361,7 +370,6 @@ def find_pure_longitudinal(
     c: np.ndarray,
     rho: float,
     grid_n: int = 20000,
-    tol: float = PURITY_TOL,
 ) -> PureModeScan:
     """Find every pure longitudinal-wave direction: the critical points of
     ``f(n) = s:nnnn`` on the projective plane, ``s`` the Cauchy part of ``c``.
@@ -375,7 +383,7 @@ def find_pure_longitudinal(
     and the hits are listed by decreasing ``s:nnnn`` at their roots, the
     fastest first.  Otherwise the search runs Newton from 100 golden-angle
     seeds, doubling them while ``certified`` is False up to ``grid_n``, and
-    lists the hits in seed order.  A residual at most ``tol`` on all 100
+    lists the hits in seed order.  A residual at most ``PURITY_TOL`` on all 100
     golden-angle seeds gives ``all_directions_pure=True`` before any solve.
 
     The Newton solve is batched and Riemannian: each step solves the 2x2
@@ -383,7 +391,7 @@ def find_pure_longitudinal(
     and is capped at 0.3 rad.  A start has converged once its step is at
     most 1e-9 rad; the solve stops when every start has, when 15 iterations
     pass without a start converging for the first time, or after 50
-    iterations.  Converged points with purity residual at most ``tol`` are
+    iterations.  Converged points with purity residual at most ``PURITY_TOL`` are
     kept, labelled by the signs of their tangent-Hessian eigenvalues and
     merged within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
     identified; the lowest residual wins).
@@ -393,16 +401,16 @@ def find_pure_longitudinal(
     rho = check_density(rho)
     s = sa_split(c).s
     seeds = fibonacci_sphere(_NEWTON_SEEDS)
-    if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= tol:
+    if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= PURITY_TOL:
         return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
     roots = real_eigenvectors(s)
     if roots is not None:
-        scan = _newton_search(s, rho, roots, tol)
+        scan = _newton_search(s, rho, roots)
         if len(scan.hits) == len(roots) and scan.certified:
             return scan
-    scan = _newton_search(s, rho, seeds, tol)
+    scan = _newton_search(s, rho, seeds)
     while scan.certified is False and scan.seeds < grid_n:
-        scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)), tol)
+        scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)))
     return scan
 
 
@@ -447,7 +455,7 @@ def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray, tol: float) -> PureModeScan:
+def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray) -> PureModeScan:
     """One batched Newton solve from the unit rows of ``seeds``."""
     scale = frobenius_norm4(s)
     n = seeds
@@ -474,7 +482,7 @@ def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray, tol: float) -> 
 
     f, sc, _frame, _grad, hess = _local_model(s, n)
     residual = _purity(sc, n)
-    kept = np.flatnonzero((length <= _NEWTON_STEP_TOL) & (residual <= tol))
+    kept = np.flatnonzero((length <= _NEWTON_STEP_TOL) & (residual <= PURITY_TOL))
     kept = kept[np.argsort(residual[kept], kind="stable")]
     values = _eig2(hess[kept])[0]
     family = np.abs(values).min(axis=1) <= _FAMILY_TOL * scale
@@ -484,9 +492,9 @@ def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray, tol: float) -> 
     winners = winners[np.argsort(kept[winners])]  # seed order
     index, kinds = kept[winners], kinds[winners]
     hits = tuple(
-        PureModeHit(direction, float(residual[i]),
-                    math.sqrt(f[i] / rho) if f[i] > 0 else math.nan, int(i), str(kind))
-        for direction, i, kind in zip(_canonical_direction(n[index]), index, kinds))
+        PureModeHit(direction, float(residual[i]), float(velocity), int(i), str(kind))
+        for direction, i, velocity, kind in zip(
+            _canonical_direction(n[index]), index, _velocity(f[index] / rho), kinds))
     return PureModeScan(hits=hits, all_directions_pure=False, seeds=len(seeds))
 
 
@@ -535,16 +543,15 @@ def shear_velocity(bundle: ChristoffelBundle, u) -> float:
     """Phase velocity of the wave polarized along ``u``.
 
     Rayleigh quotient ``v^2 = (u . gamma . u) / |u|^2`` of the full
-    Christoffel tensor; exact when ``u`` is an eigenvector.
+    Christoffel tensor; exact when ``u`` is an eigenvector, NaN where
+    ``v^2 <= 0``.  ``u`` holds one polarization per direction of the bundle;
+    a zero or non-finite one raises ``ValueError``.
     """
-    u = np.asarray(u, dtype=float).reshape(3)
-    norm2 = float(u @ u)
-    if norm2 == 0.0:
-        raise ValueError("polarization vector must be nonzero")
-    v2 = float(u @ bundle.gamma @ u) / norm2
-    if v2 < 0:
-        raise ValueError(f"non-causal polarization: v^2 = {v2}")
-    return math.sqrt(v2)
+    u = np.asarray(u, dtype=float).reshape(bundle.direction.shape)
+    if not (np.isfinite(u).all() and u.any(axis=-1).all()):
+        raise ValueError("polarization vector must be finite and nonzero")
+    u = u / np.abs(u).max(axis=-1, keepdims=True)  # u . u neither overflows nor underflows
+    return _scalar_or_array(_velocity(_rayleigh(bundle.gamma, u)))
 
 
 def shear_condition_residual(bundle: ChristoffelBundle) -> float:
@@ -557,11 +564,7 @@ def shear_condition_residual(bundle: ChristoffelBundle) -> float:
     three-pure-wave condition already holds there.
     """
     u = shear_polarization(bundle)
-    scale = frobenius_norm2(bundle.gamma)
-    if u is None or scale == 0.0:
-        return 0.0
-    w = bundle.gamma @ u
-    return float(np.linalg.norm(w - (u @ w) * u)) / scale
+    return 0.0 if u is None else float(_purity(bundle.gamma, u))
 
 
 def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:
@@ -572,10 +575,11 @@ def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:
     eigenvalue sum when ``n`` supports a pure longitudinal wave.  The constant
     is (4S - 5A)/30: the trace identity leaves (2S - A)/6 - S/5, so the
     (8S - 5A)/30 variant implied by an S/15 longitudinal coefficient is ruled
-    out.  On an acoustic axis each shear wave carries half this value.
+    out.  On an acoustic axis each shear wave carries half this value.  For a
+    direction array ``(N, 3)`` the result is an array ``(N,)``.
     """
     rho = check_density(rho)
     n = unit_vector(n)
-    quad = 2.0 * parts.dev_p + 7.0 * parts.dev_q
-    r_nnnn = float(np.einsum("ijkl,i,j,k,l->", parts.harm_r, n, n, n, n))
-    return (k_shear(parts) + float(n @ quad @ n) / 14.0 - r_nnnn) / rho
+    quad_nn = np.einsum("...i,ij,...j->...", n, 2.0 * parts.dev_p + 7.0 * parts.dev_q, n)
+    r_nnnn = np.einsum("ijkl,...i,...j,...k,...l->...", parts.harm_r, n, n, n, n)
+    return _scalar_or_array((k_shear(parts) + quad_nn / 14.0 - r_nnnn) / rho)

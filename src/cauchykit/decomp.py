@@ -387,16 +387,14 @@ def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
     ``||Q|| <= tol ||c||`` (holds for all isotropic and cubic materials).
     The sign of the surviving scalar ``A`` splits materials into the positive
     and negative classes; ``|A| <= tol ||c||`` is reported as
-    ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose`;
-    ``tol`` must be finite and nonnegative (``ValueError`` otherwise).
+    ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose` on a
+    nonzero tensor and ``tol`` is finite and nonnegative (``ValueError`` otherwise).
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    norm_c = parts.split.c_norm
-    norm_a = parts.split.a_norm
-    scale = tol * norm_c
+    scale = tol * parts.split.c_norm
 
-    full = norm_a <= scale
+    full = parts.split.a_norm <= scale
     partial = parts.q_norm <= scale
     if parts.scalar_a > scale:
         sign = "positive"
@@ -410,7 +408,7 @@ def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
         partial_cauchy=bool(partial),
         a_sign=sign,
         scalar_a=parts.scalar_a,
-        cauchy_factor=parts.cauchy_factor if norm_c > 0 else 1.0,
+        cauchy_factor=parts.cauchy_factor,
         quadratic_invariants={
             "p_norm": parts.p_norm,
             "q_norm": parts.q_norm,

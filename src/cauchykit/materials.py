@@ -35,7 +35,7 @@ from importlib import resources
 import numpy as np
 
 from .decomp import IrreducibleParts, decompose
-from .tensor_core import voigt_to_full
+from .tensor_core import SYMMETRY_TOL, voigt_to_full
 
 __all__ = [
     "MaterialError",
@@ -201,7 +201,7 @@ def _voigt_from_payload(payload, where: str) -> np.ndarray:
     asym = np.abs(m - m.T)
     if asym.max() > 0:
         scale = float(np.abs(m).max())
-        if asym.max() > 1e-8 * scale:
+        if asym.max() > SYMMETRY_TOL * scale:
             i, j = np.unravel_index(int(asym.argmax()), (6, 6))
             raise MaterialError(
                 f"{where}: voigt matrix is asymmetric at ({i + 1}, {j + 1}): "

@@ -24,7 +24,7 @@ from . import acoustics as ac
 from . import constitutive as co
 from . import decomp
 from .materials import MaterialRecord
-from .tensor_core import EIGEN_PAIRS, full_to_voigt, voigt_to_full
+from .tensor_core import degenerate_pairs, full_to_voigt, voigt_to_full
 
 __all__ = [
     "decomposition_report",
@@ -152,6 +152,11 @@ def energy_report(record: MaterialRecord, eps: np.ndarray) -> dict:
     }
 
 
+def _json_float(v) -> float | None:
+    """``v`` as a float, or None (JSON has no NaN) for a non-causal mode."""
+    return None if math.isnan(v) else float(v)
+
+
 def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
                        rho: float) -> list[dict]:
     bundle = ac.christoffel(c_gpa, dirs, rho)
@@ -161,16 +166,11 @@ def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
     return [
         {
             "n": dirs[i].tolist(),
-            # null marks a non-causal mode (JSON has no NaN)
-            "velocities_km_s": [
-                None if math.isnan(v) else float(v) for v in wave.velocities[i]
-            ],
+            "velocities_km_s": [_json_float(v) for v in wave.velocities[i]],
             "squared_velocities": wave.eigenvalues[i].tolist(),
             "polarizations": wave.polarizations[i].T.tolist(),
             "longitudinal_purity": wave.longitudinal_purity[i].tolist(),
-            "degenerate_pairs": [
-                list(p) for p, hit in zip(EIGEN_PAIRS, wave.degenerate_pairs[i]) if hit
-            ],
+            "degenerate_pairs": [list(p) for p in degenerate_pairs(wave.degenerate_pairs[i])],
             "causal": bool(wave.causal[i]),
             "sum_squared_formula": float(sums[i]),
             "pure_longitudinal_residual": float(residuals[i]),
@@ -238,10 +238,7 @@ def acoustics_report(
                     "direction": h.direction.tolist(),
                     "kind": h.kind,
                     "residual": float(h.residual),
-                    # null marks a non-causal hit (JSON has no NaN)
-                    "velocity_km_s": (
-                        None if math.isnan(h.velocity) else float(h.velocity)
-                    ),
+                    "velocity_km_s": _json_float(h.velocity),
                 }
                 for h in result.hits
             ],

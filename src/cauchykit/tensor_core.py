@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 IDENTITY3 = np.eye(3)
+SYMMETRY_TOL = 1e-8  # relative Voigt asymmetry that a stiffness input may carry
+DEGENERACY_TOL = 1e-9  # relative gap below which two eigenvalues coincide
 
 # Voigt index -> symmetric index pair, zero-based: 1=11, 2=22, 3=33, 4=23, 5=31, 6=12
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
@@ -83,15 +85,13 @@ class SymmetryViolation(ValueError):
         )
 
 
-def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def voigt_to_full(m: np.ndarray) -> np.ndarray:
     """Expand a symmetric 6x6 Voigt matrix to the full rank-4 stiffness tensor.
 
     Parameters
     ----------
     m : ndarray, shape (6, 6)
         Symmetric matrix of stiffness components.
-    tol : float
-        Relative asymmetry tolerance on the input.
 
     Returns
     -------
@@ -103,8 +103,8 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     ValueError
         If an entry of ``m`` is NaN or infinite.
     SymmetryViolation
-        If ``m`` deviates from symmetry by more than ``tol`` (relative to the
-        largest entry); the offending Voigt pair is reported one-based.
+        If ``m`` deviates from symmetry by more than ``SYMMETRY_TOL`` times
+        its largest entry; the offending Voigt pair is reported one-based.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
@@ -113,9 +113,9 @@ def voigt_to_full(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         raise ValueError("stiffness entries must be finite")
     scale = float(np.abs(m).max())
     asym = np.abs(m - m.T)
-    if asym.max() > tol * scale:
+    if asym.max() > SYMMETRY_TOL * scale:
         I, J = np.unravel_index(int(asym.argmax()), (6, 6))
-        raise SymmetryViolation((I + 1, J + 1, 0, 0), float(asym[I, J]), tol * scale)
+        raise SymmetryViolation((I + 1, J + 1, 0, 0), float(asym[I, J]), SYMMETRY_TOL * scale)
     return (0.5 * (m + m.T)).take(_FULL_FROM_VOIGT)
 
 
@@ -165,18 +165,18 @@ def eig_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 EIGEN_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def degenerate_mask(values: np.ndarray, scale, tol: float = 1e-9) -> np.ndarray:
+def degenerate_mask(values: np.ndarray, scale) -> np.ndarray:
     """Flags, shape ``(..., 3)``, telling which pairs of :data:`EIGEN_PAIRS`
     of the spectra ``values`` (shape ``(..., 3)``) coincide within
-    ``tol * scale`` (``scale`` broadcasts against shape ``(...)``)."""
+    ``DEGENERACY_TOL * scale`` (``scale`` broadcasts against shape ``(...)``)."""
     values = np.asarray(values, dtype=float)
     gaps = np.abs(values[..., [0, 0, 1]] - values[..., [1, 2, 2]])
-    return gaps <= tol * np.maximum(np.asarray(scale, dtype=float), 0.0)[..., None]
+    return gaps <= DEGENERACY_TOL * np.maximum(np.asarray(scale, dtype=float), 0.0)[..., None]
 
 
-def degenerate_pairs(values: np.ndarray, scale: float, tol: float = 1e-9) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, whose eigenvalues coincide within ``tol * scale``."""
-    return [p for p, hit in zip(EIGEN_PAIRS, degenerate_mask(values, scale, tol)) if hit]
+def degenerate_pairs(mask) -> tuple[tuple[int, int], ...]:
+    """The :data:`EIGEN_PAIRS` flagged in one :func:`degenerate_mask` row ``mask``."""
+    return tuple(p for p, hit in zip(EIGEN_PAIRS, mask) if hit)
 
 
 def frobenius_norm4(c: np.ndarray) -> float:
@@ -193,14 +193,14 @@ def frobenius_norm2(a: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->", a, a)))
 
 
-def unit_vector(n, tol: float = 1e-12) -> np.ndarray:
+def unit_vector(n) -> np.ndarray:
     """Return ``n`` as a float array of shape ``(3,)`` or ``(N, 3)``, requiring
-    ``|n| = 1`` within ``tol`` on every row (a non-finite row fails)."""
+    ``|n| = 1`` within 1e-12 on every row (a non-finite row fails)."""
     n = np.asarray(n, dtype=float)
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise ValueError(f"expected a direction of shape (3,) or (N, 3), got {n.shape}")
     norm = np.linalg.norm(n, axis=-1)
-    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= tol))
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-12))
     if bad.size:
         where = "" if n.ndim == 1 else f" in row {int(bad[0])}"
         raise ValueError(f"not a unit vector{where}: |n| = {float(norm.flat[bad[0]])!r}")

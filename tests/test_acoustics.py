@@ -472,12 +472,13 @@ class TestPureModeCertificate:
         axis = [h for h in scan.hits if abs(h.direction[2] - 1.0) < 1e-12]
         assert [h.kind for h in axis] == ["saddle"]
 
-    def test_failed_certificate_is_reported_at_the_seed_cap(self):
+    def test_failed_certificate_is_reported_at_the_seed_cap(self, monkeypatch):
         # no residual meets a tolerance of 1e-20, so every seed count fails
         # the certificate and the seeds double 100 -> 200 -> 300
         c = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
         assert find_pure_longitudinal(c, 1.0).certified is True
-        scan = find_pure_longitudinal(c, 1.0, grid_n=300, tol=1e-20)
+        monkeypatch.setattr(acoustics, "PURITY_TOL", 1e-20)
+        scan = find_pure_longitudinal(c, 1.0, grid_n=300)
         assert scan.hits == ()
         assert scan.certified is False
         assert scan.seeds == 300
@@ -515,8 +516,7 @@ class TestNewtonSolve:
         monkeypatch.setattr(acoustics, "_local_model",
                             lambda s, n: calls.append(len(n)) or model(s, n))
         c = voigt_to_full(random_spd_voigt(np.random.default_rng(0)))
-        scan = acoustics._newton_search(sa_split(c).s, 1.0, fibonacci_sphere(100),
-                                        acoustics.PURITY_TOL)
+        scan = acoustics._newton_search(sa_split(c).s, 1.0, fibonacci_sphere(100))
         assert len(calls) < 39
         assert scan.morse == {"max": 2, "min": 2, "saddle": 3, "family": 0}
         assert scan.certified is True and scan.seeds == 100
@@ -655,12 +655,13 @@ class TestAlgebraicSeeds:
         scan = find_pure_longitudinal(W, 1.0)
         assert scan.seeds == 100 and len(scan.hits) == 13 and scan.certified is True
 
-    def test_tolerance_nothing_meets_falls_back(self):
-        # no polished root meets tol=1e-20, so the algebraic result is
-        # dropped and the golden-angle search doubles its seeds to the cap
+    def test_tolerance_nothing_meets_falls_back(self, monkeypatch):
+        # no polished root meets a tolerance of 1e-20, so the algebraic result
+        # is dropped and the golden-angle search doubles its seeds to the cap
         c = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
         assert real_eigenvectors(sa_split(c).s) is not None
-        scan = find_pure_longitudinal(c, 1.0, grid_n=400, tol=1e-20)
+        monkeypatch.setattr(acoustics, "PURITY_TOL", 1e-20)
+        scan = find_pure_longitudinal(c, 1.0, grid_n=400)
         assert scan.hits == () and scan.seeds == 400 and scan.certified is False
 
     def test_hits_are_listed_by_decreasing_velocity(self):
@@ -698,8 +699,8 @@ class TestBatchedMerge:
     @pytest.mark.parametrize("case", [
         "hexagonal", "near-hexagonal-1e-6", "near-hexagonal-1e-5", "cubic", "cubic-2000",
         "non-causal", "random", "tight-tol"])
-    def test_equals_the_winner_loop(self, case):
-        count, tol, rho = 100, acoustics.PURITY_TOL, 1.0
+    def test_equals_the_winner_loop(self, monkeypatch, case):
+        count, rho = 100, 1.0
         if case == "hexagonal":
             c = voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
         elif case.startswith("near-hexagonal"):
@@ -712,10 +713,11 @@ class TestBatchedMerge:
             c, rho = voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100), 3.0
         else:
             c = voigt_to_full(random_spd_voigt(np.random.default_rng(7)))
-            tol = 1e-20 if case == "tight-tol" else tol
+            if case == "tight-tol":
+                monkeypatch.setattr(acoustics, "PURITY_TOL", 1e-20)
         s = sa_split(c).s
-        scan = acoustics._newton_search(s, rho, fibonacci_sphere(count), tol)
-        oracle = newton_search_oracle(s, rho, count, tol)
+        scan = acoustics._newton_search(s, rho, fibonacci_sphere(count))
+        oracle = newton_search_oracle(s, rho, count, acoustics.PURITY_TOL)
         assert scan.seeds == oracle.seeds == count
         assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
         if case == "hexagonal":
@@ -805,6 +807,83 @@ class TestShearVelocity:
     def test_zero_polarization_rejected(self):
         with pytest.raises(ValueError):
             shear_velocity(christoffel(ISO, EZ, 1.0), np.zeros(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_extreme_polarization_scale(self, size):
+        # u . u would underflow to 0 or overflow to inf, and the quotient read NaN
+        bundle = christoffel(ISO, EZ, 1.0)
+        assert shear_velocity(bundle, [size, 0.0, 0.0]) == 1.0
+        batch = christoffel(ISO, [EZ, EZ], 1.0)
+        assert shear_velocity(batch, [[size, 0.0, 0.0], [0.0, 1.0, 0.0]]).tolist() == [1.0, 1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+    def test_non_finite_polarization_rejected(self, u):
+        # a NaN polarization must not pass for a non-causal mode
+        with pytest.raises(ValueError, match="finite"):
+            shear_velocity(christoffel(ISO, EZ, 1.0), u)
+        with pytest.raises(ValueError, match="finite"):
+            shear_velocity(christoffel(ISO, [EZ, EZ], 1.0), [[1.0, 0.0, 0.0], u])
+
+
+class TestNonCausalIsNaN:
+    """A non-causal mode (v^2 <= 0) reads NaN from every velocity, never 0
+    and never an exception."""
+
+    @pytest.mark.parametrize("lam", [-2.0, -3.0])  # v_L^2 = lam + 2 mu = 0 and -1
+    def test_longitudinal(self, lam):
+        c = isotropic_stiffness(lam, 1.0)
+        bundle = christoffel(c, EZ, 1.0)
+        assert math.isnan(longitudinal_velocity(bundle))
+        assert np.isnan(longitudinal_velocity(christoffel(c, [EZ, [1.0, 0.0, 0.0]], 1.0))).all()
+        wave = wave_solve(bundle)
+        assert math.isnan(wave.velocities[2]) and not wave.causal
+        # every direction of an isotropic tensor is pure, so the search
+        # reports no hits; a solve seeded on z gives the hit there
+        hit, = acoustics._newton_search(sa_split(c).s, 1.0, EZ[None]).hits
+        assert math.isnan(hit.velocity)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])  # both shear v^2 = mu along z
+    def test_shear(self, mu):
+        bundle = christoffel(isotropic_stiffness(4.0, mu), EZ, 1.0)
+        assert math.isnan(shear_velocity(bundle, [1.0, 0.0, 0.0]))
+        assert math.isnan(shear_velocity(bundle, [0.0, 3.0, 0.0]))
+        wave = wave_solve(bundle)
+        assert np.isnan(wave.velocities[1:]).all() and not wave.causal
+
+
+class TestBatchedWrappers:
+    """On a direction array ``(N, 3)``, ``longitudinal_velocity``,
+    ``shear_velocity`` and ``shear_sum`` give row by row the single call."""
+
+    @pytest.mark.parametrize("kind", ["W", "triclinic", "non-SPD"])
+    def test_rows_equal_single_calls(self, rng, kind):
+        b = np.random.default_rng(0).uniform(-1, 1, (6, 6))
+        c, rho = {
+            "W": (W, 19.25),
+            "triclinic": (voigt_to_full(random_spd_voigt(rng)), 2.5),
+            "non-SPD": (voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100),
+                        3.0),
+        }[kind]
+        parts = decompose(c)
+        dirs = np.concatenate([fibonacci_sphere(200), [EZ]])
+        bundle = christoffel(c, dirs, rho)
+        u = wave_solve(bundle).polarizations[:, :, 2]
+        v_l, v_s = longitudinal_velocity(bundle), shear_velocity(bundle, u)
+        sums = shear_sum(parts, dirs, rho)
+        assert v_l.shape == v_s.shape == sums.shape == (len(dirs),)
+        for i, n in enumerate(dirs):
+            row = ChristoffelBundle(bundle.gamma[i], bundle.cauchy[i], bundle.non_cauchy[i],
+                                    n, rho)
+            assert np.array_equal(v_l[i], longitudinal_velocity(row), equal_nan=True)
+            assert np.array_equal(v_s[i], shear_velocity(row, u[i]), equal_nan=True)
+            assert sums[i] == shear_sum(parts, n, rho)
+        if kind == "non-SPD":
+            for v in (v_l, v_s):
+                assert 0 < np.isnan(v).sum() < len(dirs)
+        else:
+            assert not (np.isnan(v_l).any() or np.isnan(v_s).any())
 
 
 class TestShearCondition:

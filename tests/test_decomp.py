@@ -303,6 +303,13 @@ class TestCauchyFactor:
         with pytest.raises(ValueError):
             cauchy_factor(np.zeros((3, 3, 3, 3)))
 
+    def test_zero_tensor_classification_rejected(self):
+        # the same answer as the factor itself: no stand-in 1.0
+        parts = decompose(np.zeros((3, 3, 3, 3)))
+        for read in (lambda: parts.cauchy_factor, lambda: classify(parts)):
+            with pytest.raises(ValueError, match="zero tensor"):
+                read()
+
     def test_classification_carries_the_same_factor(self, rng):
         for c in (W, isotropic_stiffness(2.0, 1.0), random_stiffness(rng)):
             assert classify(decompose(c)).cauchy_factor == cauchy_factor(c)

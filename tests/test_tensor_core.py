@@ -10,6 +10,7 @@ from cauchykit.tensor_core import (
     VOIGT_PAIRS,
     SymmetryViolation,
     cubic_stiffness,
+    degenerate_mask,
     degenerate_pairs,
     eig_sym3,
     frobenius_inner4,
@@ -189,7 +190,7 @@ class TestEigSym3:
         values, vectors = eig_sym3(np.diag([3.0, 1.0, 1.0]))
         assert np.allclose(values, [3, 1, 1])
         assert np.allclose(np.abs(vectors[:, 0]), [1, 0, 0])
-        assert degenerate_pairs(values, scale=np.sqrt(11.0)) == [(1, 2)]
+        assert degenerate_pairs(degenerate_mask(values, np.sqrt(11.0))) == ((1, 2),)
 
     def test_isotropic_christoffel_spectrum(self):
         # lam = mu = rho = 1 along z: direct contraction oracle gives diag(1,1,3)
@@ -204,7 +205,7 @@ class TestEigSym3:
         a = o @ np.diag([2.0, 2.0, -1.0]) @ o.T
         values, vectors = eig_sym3(a)
         assert np.allclose(vectors.T @ vectors, np.eye(3), atol=1e-11)
-        assert degenerate_pairs(values, scale=3.0) == [(0, 1)]
+        assert degenerate_pairs(degenerate_mask(values, 3.0)) == ((0, 1),)
 
     def test_reconstruction_on_random_matrices(self, rng):
         worst = 0.0
@@ -255,8 +256,8 @@ class TestEigSym3:
         zero = (4, 9)
         assert np.array_equal(values[zero], np.zeros(3))
         assert np.array_equal(vectors[zero], np.eye(3))
-        assert degenerate_pairs(values[4, 7], scale=np.sqrt(11.0)) == [(1, 2)]
-        assert degenerate_pairs(values[4, 8], scale=5.0) == [(0, 1), (0, 2), (1, 2)]
+        assert degenerate_pairs(degenerate_mask(values[4, 7], np.sqrt(11.0))) == ((1, 2),)
+        assert degenerate_pairs(degenerate_mask(values[4, 8], 5.0)) == ((0, 1), (0, 2), (1, 2))
 
     def test_non_square_input_rejected(self):
         with pytest.raises(ValueError):
