@@ -35,8 +35,7 @@ from .decomp import (
 from .constitutive import (
     BoundsReport,
     EnergyReport,
-    StrainSplit,
-    StressSplit,
+    TraceSplit,
     energy,
     hooke_full,
     hooke_mean,

@@ -10,13 +10,13 @@ drive everything in this module: the velocity of a pure longitudinal wave and
 the polarization of an isolated pure shear wave depend on the Cauchy part
 only.
 
-:func:`christoffel`, :func:`wave_solve` and the velocity, residual and sum
-functions take one direction ``(3,)`` or a whole direction array ``(N, 3)``
-(:func:`shear_polarization` and :func:`shear_condition_residual` take one).
-A batch splits the stiffness tensor once, contracts it with every direction
-in one matrix product and solves all ``N`` eigenproblems in one stacked
-LAPACK call; row ``i`` of a batched result depends on ``n[i]`` alone.  The
-single-direction form is the batch of one with the leading axis dropped.
+:func:`christoffel`, :func:`wave_solve` and every velocity, polarization,
+residual and sum function take one direction ``(3,)`` or a whole direction
+array ``(N, 3)``.  A batch splits the stiffness tensor once, contracts it
+with every direction in one matrix product and solves all ``N``
+eigenproblems in one stacked LAPACK call; row ``i`` of a batched result
+depends on ``n[i]`` alone.  The single-direction form is the batch of one
+with the leading axis dropped.
 Every velocity is NaN for a non-causal mode (``v^2 <= 0``), never 0.
 
 The pure-longitudinal directions are the critical points of ``f(n) = s:nnnn``
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ChristoffelBundle:
+class ChristoffelBundle(NamedTuple):
     """Christoffel tensor and its Cauchy/non-Cauchy split.
 
     For one direction the tensors have shape ``(3, 3)`` and ``direction``
@@ -119,8 +118,7 @@ class ChristoffelBundle:
     density: float
 
 
-@dataclass(frozen=True)
-class WaveSolution:
+class WaveSolution(NamedTuple):
     """Eigen solution of one Christoffel tensor, or of a stack of them.
 
     ``eigenvalues`` are squared velocities sorted descending;
@@ -145,8 +143,7 @@ class WaveSolution:
     causal: bool
 
 
-@dataclass(frozen=True)
-class PureModeHit:
+class PureModeHit(NamedTuple):
     """A direction supporting a pure longitudinal wave.
 
     ``kind`` is its Morse type as a critical point of ``s:nnnn``: ``"max"``,
@@ -161,8 +158,7 @@ class PureModeHit:
     kind: str | None = None
 
 
-@dataclass(frozen=True)
-class PureModeScan:
+class PureModeScan(NamedTuple):
     """Result of a pure-mode search; ``seeds`` is the number of Newton starts:
     the real eigenvectors of ``s`` when those give the result, else the
     golden-angle seed count."""
@@ -192,8 +188,7 @@ class PureModeScan:
         return m["max"] + m["min"] - m["saddle"] == 1
 
 
-@dataclass(frozen=True)
-class CriticalDirections:
+class CriticalDirections(NamedTuple):
     """Stationary directions of the squared-velocity sum.
 
     These are the eigenvectors of ``L = 2 P + Q``; degenerate eigenvalues mean
@@ -522,21 +517,21 @@ def _merge(points: np.ndarray, family: np.ndarray) -> np.ndarray:
     return np.array(winners, dtype=int)
 
 
-def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray | None:
+def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray:
     """Unit polarization of the pure shear wave along ``bundle.direction``.
 
     ``U = n x (cauchy . n)``, normalized; exactly orthogonal to ``n`` and
-    independent of the non-Cauchy part.  Returns None when the cross product
-    degenerates (``cauchy . n`` parallel to ``n``): the direction is
-    longitudinal-pure and every transverse polarization is admissible.
+    independent of the non-Cauchy part.  The row is NaN where the cross
+    product degenerates (``cauchy . n`` parallel to ``n``): the direction is
+    longitudinal-pure and every transverse polarization is admissible.  A
+    batched bundle gives an array ``(N, 3)``.
     """
     n = bundle.direction
-    u = np.cross(n, bundle.cauchy @ n)
-    scale = frobenius_norm2(bundle.cauchy)
-    norm = float(np.linalg.norm(u))
-    if norm <= 1e-10 * max(scale, 1e-300):
-        return None
-    return u / norm
+    u = np.cross(n, np.einsum("...il,...l->...i", bundle.cauchy, n))
+    norm = np.linalg.norm(u, axis=-1)
+    scale = np.linalg.norm(bundle.cauchy, axis=(-2, -1))
+    shear = norm > 1e-10 * np.maximum(scale, 1e-300)
+    return np.where(shear[..., None], u / np.where(shear, norm, 1.0)[..., None], np.nan)
 
 
 def shear_velocity(bundle: ChristoffelBundle, u) -> float:
@@ -560,11 +555,12 @@ def shear_condition_residual(bundle: ChristoffelBundle) -> float:
     With ``U`` the unit :func:`shear_polarization`, returns
     ``|| gamma . U - (U . gamma . U) U || / ||gamma||``: zero exactly when the
     candidate shear polarization really is an eigenvector of gamma.  A
-    longitudinal-pure direction (no ``U``) returns 0, since the full
-    three-pure-wave condition already holds there.
+    longitudinal-pure direction (a NaN ``U``) gives 0, since the full
+    three-pure-wave condition already holds there.  A batched bundle gives an
+    array ``(N,)``.
     """
     u = shear_polarization(bundle)
-    return 0.0 if u is None else float(_purity(bundle.gamma, u))
+    return _scalar_or_array(np.where(np.isnan(u[..., 0]), 0.0, _purity(bundle.gamma, u)))
 
 
 def shear_sum(parts: IrreducibleParts, n, rho: float) -> float:

@@ -10,7 +10,7 @@ here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .decomp import IrreducibleParts, check_stiffness, decompose  # noqa: F401
 from .tensor_core import IDENTITY3
 
 __all__ = [
-    "StrainSplit",
-    "StressSplit",
+    "TraceSplit",
     "EnergyReport",
     "BoundsReport",
     "split_strain",
@@ -36,24 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrainSplit:
-    """Trace/deviator split of a strain tensor: ``eps = (trace/3) g + shear``."""
+class TraceSplit(NamedTuple):
+    """Trace/deviator split of a symmetric strain or stress tensor:
+    ``x = (trace/3) g + shear``."""
 
     trace: float
     shear: np.ndarray
 
 
-@dataclass(frozen=True)
-class StressSplit:
-    """Trace/deviator split of a stress tensor."""
-
-    trace: float
-    shear: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Elastic energy density split by strain channel and tensor origin.
 
     ``total = compression + mixed + shear`` holds exactly, and each channel
@@ -72,26 +62,26 @@ class EnergyReport:
     shear_non_cauchy: float
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Diagnostic stability bounds on the scalar invariants.
 
     The scalar bounds assume hydrostatic compression and pure shear are
     independently realizable; they are reported, never enforced.  For inputs
     whose deviators and harmonic part vanish (isotropic), the equivalent
-    Poisson ratio and its classical window are reported too.
-    ``voigt_min_eigenvalue`` is the smallest eigenvalue of the material's own
-    6x6 Voigt matrix, a necessary-and-sufficient positivity diagnostic for
-    the general anisotropic case, cached on the split as
-    ``SAParts.voigt_min_eigenvalue``.
+    Poisson ratio and its classical window are reported too, else both are
+    None.  ``voigt_min_eigenvalue`` is the smallest eigenvalue of the
+    material's own 6x6 Voigt matrix, a necessary-and-sufficient positivity
+    diagnostic for the general anisotropic case, cached on the split as
+    ``SAParts.voigt_min_eigenvalue``.  The field order is the key order of
+    the report's ``bounds`` block.
     """
 
     s_plus_a: float
     four_s_minus_five_a: float
     a_window_ok: bool
+    voigt_min_eigenvalue: float
     poisson_equiv: float | None
     poisson_ok: bool | None
-    voigt_min_eigenvalue: float
 
 
 def _sym3(x) -> np.ndarray:
@@ -105,22 +95,20 @@ def _sym3(x) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _trace_split(x: np.ndarray) -> tuple[float, np.ndarray]:
+def _trace_split(x: np.ndarray) -> TraceSplit:
     # x = (tr/3) g + shear, for an x that _sym3 already checked
     tr = float(np.trace(x))
-    return tr, x - tr / 3.0 * IDENTITY3
+    return TraceSplit(tr, x - tr / 3.0 * IDENTITY3)
 
 
-def split_strain(eps) -> StrainSplit:
+def split_strain(eps) -> TraceSplit:
     """Split a symmetric strain into trace and traceless shear parts."""
-    tr, shear = _trace_split(_sym3(eps))
-    return StrainSplit(trace=tr, shear=shear)
+    return _trace_split(_sym3(eps))
 
 
-def split_stress(sig) -> StressSplit:
+def split_stress(sig) -> TraceSplit:
     """Split a symmetric stress into trace and traceless shear parts."""
-    tr, shear = _trace_split(_sym3(sig))
-    return StressSplit(trace=tr, shear=shear)
+    return _trace_split(_sym3(sig))
 
 
 def hooke_full(c: np.ndarray, eps) -> np.ndarray:
@@ -138,7 +126,7 @@ def k_shear(parts: IrreducibleParts) -> float:
     return (4.0 * parts.scalar_s - 5.0 * parts.scalar_a) / 30.0
 
 
-def hooke_mean(parts: IrreducibleParts, strain: StrainSplit) -> float:
+def hooke_mean(parts: IrreducibleParts, strain: TraceSplit) -> float:
     """Mean-stress equation: trace of the stress from the invariant parts.
 
     ``sigma = ((S + A) / 3) eps + (P - Q) : u``, the coefficient being
@@ -149,7 +137,7 @@ def hooke_mean(parts: IrreducibleParts, strain: StrainSplit) -> float:
     return k_mean(parts) * strain.trace + float(np.einsum("kl,kl->", pq, strain.shear))
 
 
-def hooke_shear(parts: IrreducibleParts, strain: StrainSplit) -> np.ndarray:
+def hooke_shear(parts: IrreducibleParts, strain: TraceSplit) -> np.ndarray:
     """Stress-deviator equation from the invariant parts.
 
     ``s = ((P - Q)/3) eps + ((4S - 5A)/30) u + R : u
@@ -262,7 +250,7 @@ def stability_bounds(parts: IrreducibleParts) -> BoundsReport:
         s_plus_a=s + a,
         four_s_minus_five_a=4.0 * s - 5.0 * a,
         a_window_ok=bool(0.8 * s > a > -s),
+        voigt_min_eigenvalue=parts.split.voigt_min_eigenvalue,
         poisson_equiv=poisson,
         poisson_ok=poisson_ok,
-        voigt_min_eigenvalue=parts.split.voigt_min_eigenvalue,
     )

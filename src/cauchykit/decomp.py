@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,13 +221,13 @@ class IrreducibleParts:
         return float(ns / np.sqrt(ns * ns + na * na))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Cauchy-structure summary of a material.
 
     ``a_sign`` is one of ``"positive"``, ``"negative"``,
     ``"zero-within-tol"``.  ``full_cauchy`` implies ``partial_cauchy`` and a
-    Cauchy factor of 1 within tolerance.
+    Cauchy factor of 1 within tolerance.  The field order is the key order of
+    the report's ``classification`` block.
     """
 
     full_cauchy: bool

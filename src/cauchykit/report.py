@@ -74,29 +74,12 @@ def _decomposition_block(parts: decomp.IrreducibleParts) -> dict:
 
 
 def _classification_block(parts: decomp.IrreducibleParts, tol: float) -> dict:
-    cls = decomp.classify(parts, tol=tol)
-    return {
-        "full_cauchy": cls.full_cauchy,
-        "partial_cauchy": cls.partial_cauchy,
-        "a_sign": cls.a_sign,
-        "scalar_a": cls.scalar_a,
-        "cauchy_factor": cls.cauchy_factor,
-        "quadratic_invariants": dict(cls.quadratic_invariants),
-    }
+    return decomp.classify(parts, tol=tol)._asdict()
 
 
 def _bounds_block(parts: decomp.IrreducibleParts) -> dict:
-    bounds = co.stability_bounds(parts)
-    block = {
-        "s_plus_a": bounds.s_plus_a,
-        "four_s_minus_five_a": bounds.four_s_minus_five_a,
-        "a_window_ok": bounds.a_window_ok,
-        "voigt_min_eigenvalue": bounds.voigt_min_eigenvalue,
-    }
-    if bounds.poisson_equiv is not None:
-        block["poisson_equiv"] = bounds.poisson_equiv
-        block["poisson_ok"] = bounds.poisson_ok
-    return block
+    # the Poisson fields are None, and left out, unless the input is isotropic
+    return {k: v for k, v in co.stability_bounds(parts)._asdict().items() if v is not None}
 
 
 def decomposition_report(record: MaterialRecord, tol: float = 1e-6) -> dict:

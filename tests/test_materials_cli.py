@@ -18,6 +18,7 @@ from cauchykit.materials import (
 )
 from cauchykit import decomp
 from cauchykit.report import (
+    acoustics_report,
     classification_report,
     decomposition_report,
     dump_json,
@@ -405,6 +406,72 @@ class TestReports:
         assert block["norms"]["r_norm"] > 0
         delta = np.array(block["delta"])
         assert np.trace(delta) == pytest.approx(1.744 / 2, abs=1e-12)
+
+
+# isotropic lam=2, mu=1: C11 = 4, C12 = 2, C44 = 1
+ISO_VOIGT = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],
+             [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]]
+BOUNDS_KEYS = ["s_plus_a", "four_s_minus_five_a", "a_window_ok", "voigt_min_eigenvalue"]
+
+
+class TestReportKeyOrder:
+    """The key order of every report block, which reports and their readers
+    rely on (JSON output is byte-stable)."""
+
+    def test_decomposition_report(self):
+        report = decomposition_report(bundled_material("w"))
+        assert list(report) == ["schema_version", "material", "decomposition",
+                                "classification", "bounds"]
+        block = report["decomposition"]
+        assert list(block) == ["scalar_s", "scalar_a", "dev_p", "dev_q", "harm_r_voigt",
+                               "delta", "norms", "cauchy_factor"]
+        assert list(block["norms"]) == ["cauchy_part", "non_cauchy_part", "p_norm",
+                                        "q_norm", "r_norm"]
+        assert list(report["bounds"]) == BOUNDS_KEYS
+
+    def test_classification_report(self):
+        report = classification_report(bundled_material("si"))
+        assert list(report) == ["schema_version", "material", "classification"]
+        block = report["classification"]
+        assert list(block) == ["full_cauchy", "partial_cauchy", "a_sign", "scalar_a",
+                               "cauchy_factor", "quadratic_invariants"]
+        assert list(block["quadratic_invariants"]) == ["p_norm", "q_norm", "r_norm"]
+
+    def test_isotropic_bounds_add_the_poisson_keys_last(self):
+        record = material_from_dict(material_doc(voigt=ISO_VOIGT))
+        for report in (decomposition_report(record), energy_report(record, np.eye(3))):
+            assert list(report["bounds"]) == BOUNDS_KEYS + ["poisson_equiv", "poisson_ok"]
+
+    def test_energy_report(self):
+        report = energy_report(bundled_material("ge"), 1e-3 * np.eye(3))
+        assert list(report) == ["schema_version", "material", "strain", "energy", "bounds"]
+        block = report["energy"]
+        assert list(block) == ["unit", "total", "compression", "mixed", "shear"]
+        for channel in ("compression", "mixed", "shear"):
+            assert list(block[channel]) == ["total", "cauchy", "non_cauchy"]
+        assert list(report["bounds"]) == BOUNDS_KEYS
+
+    def test_acoustics_report(self):
+        report, _rows = acoustics_report(bundled_material("w"), 19.25,
+                                         directions=[[0.0, 0.0, 1.0]], scan=10,
+                                         pure_modes=True)
+        assert list(report) == ["schema_version", "material", "acoustics"]
+        block = report["acoustics"]
+        assert list(block) == ["density_g_cm3", "velocity_unit", "directions",
+                               "critical_directions", "scan", "pure_longitudinal"]
+        assert list(block["directions"][0]) == [
+            "n", "velocities_km_s", "squared_velocities", "polarizations",
+            "longitudinal_purity", "degenerate_pairs", "causal", "sum_squared_formula",
+            "pure_longitudinal_residual"]
+        assert list(block["critical_directions"]) == ["eigenvalues", "directions",
+                                                      "fully_degenerate", "degenerate_pairs"]
+        assert list(block["scan"]) == ["count", "non_causal_count"]
+        pure = block["pure_longitudinal"]
+        assert list(pure) == ["all_directions_pure", "seeds", "morse", "certified", "hits"]
+        assert list(pure["morse"]) == ["max", "min", "saddle", "family"]
+        assert pure["hits"]
+        for hit in pure["hits"]:
+            assert list(hit) == ["direction", "kind", "residual", "velocity_km_s"]
 
 
 def write_material(tmp_path, doc, name="mat.json"):

@@ -5,6 +5,7 @@ only what the paper's results and the CLI use.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -12,22 +13,46 @@ from pathlib import Path
 import pytest
 
 import cauchykit
-from cauchykit import acoustics, decomp, report, tensor_core
+from cauchykit import acoustics, constitutive, decomp, report, tensor_core
 
 MODULES = ["cauchykit", "cauchykit.tensor_core", "cauchykit.decomp",
            "cauchykit.constitutive", "cauchykit.acoustics", "cauchykit.materials",
            "cauchykit.report", "cauchykit.tensor_eigen"]
 
-# moved to conftest.py (oracles and fixtures) or deleted (delta_from_a)
+# moved to conftest.py (oracles and fixtures), deleted (delta_from_a) or
+# merged into TraceSplit (StrainSplit, StressSplit)
 GONE = ["delta_from_a", "mn_split", "general_relation_residual", "q_components_voigt",
         "validate_symmetries", "symmetrize_orbit", "rotation_from_quaternion",
-        "random_rotation", "rotate2", "rotate4"]
+        "random_rotation", "rotate2", "rotate4", "StrainSplit", "StressSplit"]
+
+# the types that cache derived values (identity equality) or validate on
+# construction; every other result type is a NamedTuple, which, unlike a
+# dataclass, generates no code when its module is imported
+DATACLASSES = ["Density", "IrreducibleParts", "MaterialRecord", "SAParts"]
+RESULT_TYPES = sorted({
+    obj for module in map(importlib.import_module, MODULES) for name in module.__all__
+    if inspect.isclass(obj := getattr(module, name))
+    and not issubclass(obj, Exception) and name not in DATACLASSES},
+    key=lambda cls: cls.__name__)
 
 
 @pytest.mark.parametrize("name", GONE)
 def test_removed_names_are_not_exported(name):
-    for module in (cauchykit, decomp, tensor_core):
+    for module in (cauchykit, constitutive, decomp, tensor_core):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_only_the_cached_and_validated_types_are_dataclasses():
+    defined = [obj for module_name in MODULES
+               for obj in vars(importlib.import_module(module_name)).values()
+               if inspect.isclass(obj) and obj.__module__ == module_name]
+    assert sorted(cls.__name__ for cls in defined
+                  if dataclasses.is_dataclass(cls)) == DATACLASSES
+
+
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
+def test_every_other_result_type_is_a_named_tuple(cls):
+    assert issubclass(cls, tuple) and hasattr(cls, "_fields")
 
 
 @pytest.mark.parametrize("module_name", MODULES)
