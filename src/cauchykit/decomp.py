@@ -59,6 +59,7 @@ __all__ = [
     "IrreducibleParts",
     "Classification",
     "check_stiffness",
+    "check_tolerance",
     "sa_split",
     "a_from_delta",
     "so3_refine",
@@ -249,6 +250,13 @@ def check_stiffness(c) -> np.ndarray:
     return c
 
 
+def check_tolerance(tol: float) -> float:
+    """Return ``tol``; ``ValueError`` unless it is finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def sa_split(c: np.ndarray) -> SAParts:
     """Split a stiffness tensor into its Cauchy and non-Cauchy parts.
 
@@ -391,9 +399,7 @@ def classify(parts: IrreducibleParts, tol: float = 1e-6) -> Classification:
     ``"zero-within-tol"``.  ``parts`` is the result of :func:`decompose` on a
     nonzero tensor and ``tol`` is finite and nonnegative (``ValueError`` otherwise).
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    scale = tol * parts.split.c_norm
+    scale = check_tolerance(tol) * parts.split.c_norm
 
     full = parts.split.a_norm <= scale
     partial = parts.q_norm <= scale

@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .decomp import IrreducibleParts, decompose
+from .decomp import IrreducibleParts, check_tolerance, decompose
 from .tensor_core import SYMMETRY_TOL, voigt_to_full
 
 __all__ = [
@@ -264,6 +264,7 @@ def check_crystal_system(voigt: np.ndarray, system: str, tol: float = 1e-6) -> l
 
 def material_from_dict(doc: dict, strict: bool = False, tol: float = 1e-6) -> MaterialRecord:
     """Validate a parsed material document into a :class:`MaterialRecord`."""
+    check_tolerance(tol)
     _require(isinstance(doc, dict), "material document must be a JSON object")
     warnings: list[str] = []
     _check_unknown_fields(
@@ -321,7 +322,7 @@ def load_material(path, strict: bool = False, tol: float = 1e-6) -> MaterialReco
     carries line/column) for malformed JSON, and :class:`MaterialError` for
     semantic problems: schema violations, asymmetric Voigt input (reported
     with the offending one-based pair), an all-zero Voigt matrix, unknown unit
-    strings, and (in strict mode) unknown fields.
+    strings, and (in strict mode) unknown fields; a bad ``tol`` raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

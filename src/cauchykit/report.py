@@ -73,10 +73,6 @@ def _decomposition_block(parts: decomp.IrreducibleParts) -> dict:
     }
 
 
-def _classification_block(parts: decomp.IrreducibleParts, tol: float) -> dict:
-    return decomp.classify(parts, tol=tol)._asdict()
-
-
 def _bounds_block(parts: decomp.IrreducibleParts) -> dict:
     # the Poisson fields are None, and left out, unless the input is isotropic
     return {k: v for k, v in co.stability_bounds(parts)._asdict().items() if v is not None}
@@ -89,7 +85,7 @@ def decomposition_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
         "decomposition": _decomposition_block(parts),
-        "classification": _classification_block(parts, tol),
+        "classification": decomp.classify(parts, tol=tol)._asdict(),
         "bounds": _bounds_block(parts),
     }
 
@@ -99,7 +95,7 @@ def classification_report(record: MaterialRecord, tol: float = 1e-6) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
-        "classification": _classification_block(parts, tol),
+        "classification": decomp.classify(parts, tol=tol)._asdict(),
     }
 
 
@@ -168,11 +164,10 @@ def acoustics_report(
     directions: list | None = None,
     scan: int | None = None,
     pure_modes: bool = False,
-) -> tuple[dict, list[dict]]:
-    """Acoustic report plus (when scanning) the per-direction scan rows.
-
-    Stiffness is converted to GPa and density is in g/cm^3, so velocities are
-    km/s.  Returns ``(report, rows)``; ``rows`` is empty unless ``scan``.
+) -> tuple[dict, np.ndarray]:
+    """Acoustic report plus the :func:`scan_rows` table, as ``(report, rows)``;
+    ``rows`` has zero rows unless ``scan``.  Stiffness is converted to GPa and
+    density is in g/cm^3, so velocities are km/s.
     """
     rho_g_cm3 = ac.check_density(rho_g_cm3)
     c_gpa = record.stiffness_gpa()
@@ -200,13 +195,13 @@ def acoustics_report(
         "degenerate_pairs": [list(p) for p in crit.degenerate_pairs],
     }
 
-    rows: list[dict] = []
+    rows = np.zeros(0, dtype=_SCAN_ROW)
     if scan:
         rows = scan_rows(c_gpa, rho_g_cm3, scan)
-        non_causal = sum(1 for r in rows if not r["causal"])
         block["scan"] = {
             "count": scan,
-            "non_causal_count": non_causal,
+            # an int, not np.int64, which json rejects
+            "non_causal_count": int(np.count_nonzero(~rows["causal"])),
         }
 
     if pure_modes:
@@ -229,40 +224,37 @@ def acoustics_report(
     return report, rows
 
 
-def scan_rows(c_gpa: np.ndarray, rho: float, count: int) -> list[dict]:
-    """Evaluate the wave solution on a golden-angle lattice of directions,
-    one row per direction in lattice order, from one batched solve."""
+_SCAN_ROW = np.dtype([("n", float, 3), ("velocities", float, 3), ("purity_l", float),
+                      ("degenerate", bool), ("causal", bool)])
+
+
+def scan_rows(c_gpa: np.ndarray, rho: float, count: int) -> np.ndarray:
+    """Evaluate the wave solution on a golden-angle lattice of ``count``
+    directions from one batched solve: a structured array, one row per
+    direction in lattice order, with the fields ``n`` (3,), ``velocities``
+    (3,), ``purity_l``, ``degenerate`` and ``causal``."""
     dirs = ac.fibonacci_sphere(count)
     wave = ac.wave_solve(ac.christoffel(c_gpa, dirs, rho))
-    purity = wave.longitudinal_purity[:, 0].tolist()
-    degenerate = wave.degenerate_pairs.any(axis=1).tolist()
-    causal = wave.causal.tolist()
-    return [
-        {
-            "index": idx,
-            "n": dirs[idx],
-            "velocities": wave.velocities[idx],
-            "purity_l": purity[idx],
-            "degenerate": degenerate[idx],
-            "causal": causal[idx],
-        }
-        for idx in range(count)
-    ]
+    rows = np.empty(len(dirs), dtype=_SCAN_ROW)
+    rows["n"] = dirs
+    rows["velocities"] = wave.velocities
+    rows["purity_l"] = wave.longitudinal_purity[:, 0]
+    rows["degenerate"] = wave.degenerate_pairs.any(axis=1)
+    rows["causal"] = wave.causal
+    return rows
 
 
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
-def write_scan_csv(rows: list[dict], path) -> None:
+def write_scan_csv(rows: np.ndarray, path) -> None:
     """Write scan rows as CSV: '.' decimal separator, LF line endings, and a
     mandatory header ``nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag``; floats
     carry 17 significant digits and a non-causal velocity reads ``nan``.
     ``rows`` are :func:`scan_rows` output."""
-    lines = [
-        _CSV_ROW % (*row["n"].tolist(), *row["velocities"].tolist(),
-                    row["purity_l"], row["degenerate"])
-        for row in rows
-    ]
+    floats = np.column_stack((rows["n"], rows["velocities"], rows["purity_l"])).tolist()
+    lines = [_CSV_ROW % (*row, flag)
+             for row, flag in zip(floats, rows["degenerate"].tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag\n")
         fh.writelines(lines)

@@ -194,9 +194,9 @@ def frobenius_norm2(a: np.ndarray) -> float:
 
 
 def unit_vector(n) -> np.ndarray:
-    """Return ``n`` as a float array of shape ``(3,)`` or ``(N, 3)``, requiring
-    ``|n| = 1`` within 1e-12 on every row (a non-finite row fails)."""
-    n = np.asarray(n, dtype=float)
+    """Return ``n`` as a fresh float array of shape ``(3,)`` or ``(N, 3)``,
+    requiring ``|n| = 1`` within 1e-12 on every row (a non-finite row fails)."""
+    n = np.array(n, dtype=float)
     if n.ndim not in (1, 2) or n.shape[-1] != 3:
         raise ValueError(f"expected a direction of shape (3,) or (N, 3), got {n.shape}")
     norm = np.linalg.norm(n, axis=-1)

@@ -21,7 +21,8 @@ from cauchykit.acoustics import (
     wave_solve,
 )
 from cauchykit.decomp import a_from_delta, decompose, sa_split
-from cauchykit.report import scan_rows, write_scan_csv
+from cauchykit.materials import material_from_dict
+from cauchykit.report import acoustics_report, scan_rows, write_scan_csv
 from cauchykit.tensor_eigen import real_eigenvectors
 from cauchykit.tensor_core import (
     cubic_stiffness,
@@ -84,6 +85,15 @@ class TestChristoffel:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             christoffel(ISO, [0.0, 0.0, 2.0], 1.0)
+
+    @pytest.mark.parametrize("n", [EZ, fibonacci_sphere(5)], ids=["one", "batch"])
+    def test_direction_is_copied(self, n):
+        n = np.array(n, dtype=float)
+        bundle = christoffel(W, n, 1.0)
+        direction, wave = bundle.direction.copy(), wave_solve(bundle)
+        n[...] = [1.0, 0.0, 0.0]
+        assert np.array_equal(bundle.direction, direction)
+        assert all(np.array_equal(a, b) for a, b in zip(wave_solve(bundle), wave))
 
 
 class TestBatchedDirections:
@@ -158,7 +168,8 @@ class TestDensityGuard:
 class TestScanCsv:
     def test_bytes_equal_reference_formatter(self, rng, tmp_path):
         b = rng.uniform(-1, 1, (6, 6))
-        c = voigt_to_full((0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100)
+        voigt = (0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100
+        c = voigt_to_full(voigt)
         rows = scan_rows(c, 3.0, 300)
         assert any(not r["causal"] for r in rows) and any(r["causal"] for r in rows)
 
@@ -174,6 +185,27 @@ class TestScanCsv:
         write_scan_csv(rows, path)
         assert path.read_bytes() == expected.encode("utf-8")
         assert b",nan," in path.read_bytes()
+
+        # the table's columns are the one batched solve, in lattice order
+        wave = wave_solve(christoffel(c, fibonacci_sphere(300), 3.0))
+        assert len(rows) == 300
+        assert np.array_equal(rows["n"], fibonacci_sphere(300))
+        assert np.array_equal(rows["velocities"], wave.velocities, equal_nan=True)
+        assert np.array_equal(rows["purity_l"], wave.longitudinal_purity[:, 0])
+        assert np.array_equal(rows["degenerate"], wave.degenerate_pairs.any(axis=1))
+        assert np.array_equal(rows["causal"], wave.causal)
+        # the report counts the same rows, as an int that json accepts
+        record = material_from_dict({"schema_version": "1", "name": "indefinite",
+                                     "stiffness": {"unit": "GPa", "voigt": voigt.tolist()}})
+        report, table = acoustics_report(record, 3.0, scan=300)
+        count = report["acoustics"]["scan"]["non_causal_count"]
+        assert type(count) is int and count == np.count_nonzero(~rows["causal"])
+        assert table.tobytes() == rows.tobytes()
+        _, none = acoustics_report(record, 3.0)
+        assert len(none) == 0 and none.dtype == rows.dtype
+        # a row is a view: an edit through it shows in the column
+        rows[7]["velocities"] = [1.0, 2.0, 3.0]
+        assert rows["velocities"][7].tolist() == [1.0, 2.0, 3.0]
 
 
 class TestWaveSolve:

@@ -277,6 +277,18 @@ class TestLoadMaterial:
             material_doc(voigt=voigt.tolist(), crystal_system="cubic"))
         assert any("C11, C22, C33" in w for w in record.warnings)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_ingest_rejects_a_bad_tolerance(self, tmp_path, bad):
+        # a cubic claim the constants break: a NaN or infinite tolerance would
+        # hide the warnings, and a negative one would flag every entry
+        voigt = full_to_voigt(cubic_stiffness(0.02, 0.01, 0.005))
+        voigt[0, 0] *= 1.1
+        doc = material_doc(voigt=voigt.tolist(), crystal_system="cubic")
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            material_from_dict(doc, tol=bad)
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            load_material(write_material(tmp_path, doc), tol=bad)
+
     def test_mbar_converts_to_gpa(self):
         record = bundled_material("w")
         c = record.stiffness_gpa()
