@@ -27,9 +27,12 @@ roots of a resultant and polishes the real ones by Newton's method, or, when
 that does not account for every root, runs Newton from golden-angle seeds.
 Either way it checks the set against the Euler characteristic, a necessary
 condition for completeness.  A *family* hit has a singular tangent Hessian, as
-on a continuous ring or cone of pure directions (a transversely isotropic
-Cauchy part has them); the check does not apply there.  No result in this
-module uses scipy.
+on a continuous ring or cone of pure directions; the check does not apply
+there.  A transversely isotropic ``s`` has such families and a resultant that
+vanishes identically, so it is answered first, in closed form: with ``c = n.e``
+for the symmetry axis ``e``, ``f = alpha + beta c^2 + gamma c^4``, and the pure
+set is the axis, the basal ring and at most one cone, each reported once.  No
+result in this module uses scipy.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ _NEWTON_STEP_CAP = 0.3  # radians
 _NEWTON_STEP_TOL = 1e-9  # radians; a seed whose last step was longer has not converged
 _FLAT_TOL = 1e-10  # relative to ||s||: no Newton step along a flatter direction
 _FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
+# relative to ||s||: an exactly transversely isotropic s matches its closed
+# form to ~1e-15, a 4e-8 triclinic perturbation of one departs by ~1e-8
+_TI_TOL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i - 1 (mod 3)
 _MERGE_ENTRIES = 1 << 12  # bound on the point pairs one merge block compares
 
@@ -160,12 +166,15 @@ class PureModeHit(NamedTuple):
 
 class PureModeScan(NamedTuple):
     """Result of a pure-mode search; ``seeds`` is the number of Newton starts:
-    the real eigenvectors of ``s`` when those give the result, else the
-    golden-angle seed count."""
+    the real eigenvectors of ``s`` when those give the result, 0 for the
+    closed form of a transversely isotropic ``s``, else the golden-angle seed
+    count.  ``axis`` is the unit symmetry axis of that closed form (largest
+    component positive), None otherwise."""
 
     hits: tuple[PureModeHit, ...]
     all_directions_pure: bool
     seeds: int
+    axis: np.ndarray | None = None
 
     @property
     def morse(self) -> dict[str, int]:
@@ -180,8 +189,13 @@ class PureModeScan(NamedTuple):
         A necessary check, not a proof of completeness: every complete set of
         isolated hits passes it, and a set that fails it is incomplete or
         mislabelled, but a missed max-saddle or min-saddle pair leaves the sum
-        unchanged, so True does not rule one out.  None where a family is
-        present or every direction is pure."""
+        unchanged, so True does not rule one out.  True where ``axis`` is set:
+        the closed form is complete, and its Morse-Bott sum ``sum (-1)^index
+        chi(set)`` is 1, since the ring and the cone are circles (``chi = 0``)
+        and only the axis counts.  None where a family is otherwise present or
+        every direction is pure."""
+        if self.axis is not None:
+            return True
         m = self.morse
         if self.all_directions_pure or m["family"]:
             return None
@@ -380,6 +394,9 @@ def find_pure_longitudinal(
     seeds, doubling them while ``certified`` is False up to ``grid_n``, and
     lists the hits in seed order.  A residual at most ``PURITY_TOL`` on all 100
     golden-angle seeds gives ``all_directions_pure=True`` before any solve.
+    Next, an exactly transversely isotropic ``s`` is answered in closed form
+    (:func:`_transversely_isotropic`), ahead of the resultant, which vanishes
+    identically on its families.
 
     The Newton solve is batched and Riemannian: each step solves the 2x2
     tangent-Hessian system, skipping directions flatter than ``1e-10 ||s||``,
@@ -396,8 +413,12 @@ def find_pure_longitudinal(
     rho = check_density(rho)
     s = sa_split(c).s
     seeds = fibonacci_sphere(_NEWTON_SEEDS)
-    if float(_purity(_local_model(s, seeds)[1], seeds).max()) <= PURITY_TOL:
+    f_seeds, sc = _local_model(s, seeds)[:2]
+    if float(_purity(sc, seeds).max()) <= PURITY_TOL:
         return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
+    scan = _transversely_isotropic(s, rho, seeds, f_seeds)
+    if scan is not None:
+        return scan
     roots = real_eigenvectors(s)
     if roots is not None:
         scan = _newton_search(s, rho, roots)
@@ -407,6 +428,86 @@ def find_pure_longitudinal(
     while scan.certified is False and scan.seeds < grid_n:
         scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)))
     return scan
+
+
+def _transversely_isotropic(s: np.ndarray, rho: float, seeds: np.ndarray,
+                            f_seeds: np.ndarray) -> PureModeScan | None:
+    """The pure directions of a transversely isotropic ``s`` in closed form,
+    or None where ``s`` is not one or the form is degenerate.
+
+    The axis ``e`` comes from :func:`_symmetry_axis`.  With ``c = n.e``,
+    ``f = alpha + beta c^2 + gamma c^4`` is read at the polar angles 0, 90
+    and 45 degrees and must equal ``f_seeds``, ``f`` on the ``seeds``,
+    within ``_TI_TOL ||s||``.  The hits are the axis, a ``max``
+    where ``beta + 2 gamma > 0`` and a ``min`` otherwise, then one ``family``
+    point on the basal ring ``c = 0`` and, where ``0 < -beta / (2 gamma) <
+    1``, one on the cone ``c^2 = -beta / (2 gamma)``.  None where the tangent
+    Hessian of ``f / 4`` across one of them is at most ``_FAMILY_TOL ||s||``,
+    the flatness that makes a Newton hit a ``family`` (``-(beta + 2 gamma) /
+    2`` on the axis, ``beta / 2`` on the ring, ``-beta (1 - c^2)`` on the cone,
+    which vanishes as its ``c^2`` nears 0 or 1), or where a hit's residual
+    exceeds ``PURITY_TOL``."""
+    scale = frobenius_norm4(s)
+    axis = _symmetry_axis(s, scale)
+    if axis is None:
+        return None
+    ring = _cross(axis[None], IDENTITY3[np.abs(axis).argmin()][None])[0]
+    ring /= math.sqrt(ring @ ring)
+    # f at c^2 = 1, 0 and 1/2 is alpha + beta + gamma, alpha, alpha + beta/2 + gamma/4
+    polar = np.stack([axis, ring, (axis + ring) * math.sqrt(0.5)])
+    f_axis, alpha, f_half = _local_model(s, polar)[0]
+    beta_gamma, two_beta_gamma = f_axis - alpha, 4.0 * (f_half - alpha)
+    beta, gamma = two_beta_gamma - beta_gamma, 2.0 * beta_gamma - two_beta_gamma
+    c2 = np.square(seeds @ axis)
+    if not np.abs(alpha + c2 * (beta + gamma * c2) - f_seeds).max() <= _TI_TOL * scale:
+        return None
+    points, kinds = [axis, ring], ["max" if beta + 2.0 * gamma > 0 else "min", "family"]
+    curvature = [-0.5 * (beta + 2.0 * gamma), 0.5 * beta]
+    if beta * (beta + 2.0 * gamma) < 0:  # df/d(c^2) changes sign on (0, 1)
+        cone = -beta / (2.0 * gamma)
+        points.append(math.sqrt(cone) * axis + math.sqrt(1.0 - cone) * ring)
+        kinds.append("family")
+        curvature.append(-beta * (1.0 - cone))
+    if min(map(abs, curvature)) <= _FAMILY_TOL * scale:
+        return None
+    n = np.array(points)
+    f, sc = _local_model(s, n)[:2]
+    residual = _purity(sc, n)
+    if residual.max() > PURITY_TOL:
+        return None
+    hits = tuple(
+        PureModeHit(direction, float(r), float(velocity), i, kind)
+        for i, (direction, r, velocity, kind) in enumerate(
+            zip(_canonical_direction(n), residual, _velocity(f / rho), kinds)))
+    return PureModeScan(hits=hits, all_directions_pure=False, seeds=0,
+                        axis=hits[0].direction.copy())
+
+
+def _symmetry_axis(s: np.ndarray, scale: float) -> np.ndarray | None:
+    """The axis ``e`` of the deviator ``D = b (ee - I/3)`` of ``s_ijkk`` (which
+    is proportional to ``P``), or of ``s_ijkl s_mjkl`` where the first is zero
+    (cubic, or ``P = 0``); None where both are zero or
+    ``D + (b/3) I`` is not ``b ee`` within ``_TI_TOL`` of ``||s||`` (of
+    ``||s||^2`` for the second).  Read in closed form: ``|b| = sqrt(3/2) ||D||``
+    with the sign of ``tr D^3 = 2 b^3 / 9``, and ``e`` from the row of ``b ee``
+    with the largest diagonal entry; a LAPACK eigen solver would add its code
+    pages to the search's peak memory."""
+    tol, m = _TI_TOL * scale, s.reshape(3, 27)
+    for t in (np.einsum("ijkk->ij", s), m @ m.T):
+        deviator = t - (np.trace(t) / 3.0) * IDENTITY3
+        size = frobenius_norm2(deviator)
+        if size > tol:
+            break
+        tol *= scale
+    else:
+        return None
+    b = math.copysign(math.sqrt(1.5) * size, np.vdot(deviator @ deviator, deviator))
+    rank_one = deviator + (b / 3.0) * IDENTITY3
+    axis = rank_one[np.abs(np.diag(rank_one)).argmax()]
+    axis = axis / math.sqrt(axis @ axis)
+    if frobenius_norm2(rank_one - b * (axis[:, None] * axis)) > tol:
+        return None
+    return axis
 
 
 def _local_model(s: np.ndarray, n: np.ndarray):

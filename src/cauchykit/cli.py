@@ -14,6 +14,7 @@ import numpy as np
 
 from . import report as rp
 from .acoustics import check_density
+from .decomp import check_tolerance
 from .materials import MaterialError, MaterialRecord, load_material
 
 EXIT_VALIDATION = 2
@@ -62,7 +63,9 @@ def main(ctx, tol, json_out, strict):
     """Analyze elastic stiffness tensors: irreducible decomposition,
     Cauchy-structure classification, constitutive response, and
     Christoffel-tensor acoustics."""
-    if not (np.isfinite(tol) and tol >= 0):
+    try:
+        check_tolerance(tol)
+    except ValueError:
         _fail(ctx, EXIT_VALIDATION, "--tol must be finite and nonnegative")
     ctx.obj = {"tol": tol, "json_out": json_out, "strict": strict}
 

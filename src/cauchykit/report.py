@@ -211,6 +211,7 @@ def acoustics_report(
             "seeds": result.seeds,
             "morse": result.morse,
             "certified": result.certified,
+            "axis": None if result.axis is None else result.axis.tolist(),
             "hits": [
                 {
                     "direction": h.direction.tolist(),

@@ -410,7 +410,7 @@ class TestPureLongitudinal:
 
     def test_continuous_pure_families_are_sampled(self):
         # a transversely isotropic Cauchy part supports whole rings of pure
-        # directions; the scan reports a deduplicated sampling of them
+        # directions; the scan reports one point of each, on the basal ring too
         base = sa_split(
             voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
         ).s
@@ -482,13 +482,19 @@ class TestPureModeCertificate:
             assert pure_longitudinal_residual(bundle) <= 1e-12
 
     def test_family_is_flagged_and_not_certified(self):
+        # the Newton solve samples a family and cannot certify it; the search
+        # answers the exactly transversely isotropic s in closed form instead
         base = voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
-        scan = find_pure_longitudinal(base, 1.0)
+        scan = acoustics._newton_search(sa_split(base).s, 1.0, fibonacci_sphere(100))
         ring = [h for h in scan.hits if abs(h.direction[2]) < 1e-8]
         assert ring and all(h.kind == "family" for h in ring)
         assert scan.morse["family"] >= len(ring)
         assert scan.certified is None
-        assert scan.seeds == 100  # a family stops the doubling
+        closed = find_pure_longitudinal(base, 1.0)
+        assert closed.seeds == 0 and closed.certified is True
+        assert closed.axis.tolist() == [0.0, 0.0, 1.0]
+        assert [h.kind for h in closed.hits][1:] == ["family"] * (len(closed.hits) - 1)
+        assert closed.hits[1].direction[2] == 0.0  # the basal ring
 
     @pytest.mark.parametrize("c44", [59.99, 59.999, 59.9999])
     def test_close_critical_points_are_kept_apart(self, c44):
@@ -666,14 +672,16 @@ class TestAlgebraicSeeds:
     def test_hexagonal_falls_back_bitwise(self, monkeypatch, eps):
         # an exact family makes P(sigma) singular, which ends the attempt
         # before the eigen solve; close to a family the 13 chart roots do
-        # not stand clear of the roots at infinity
+        # not stand clear of the roots at infinity.  The exact family is
+        # answered in closed form before the resultant, by either search.
         c = near_hexagonal(eps)
         with monkeypatch.context() as m:
             if eps == 0.0:
                 m.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
             assert real_eigenvectors(sa_split(c).s) is None
         scan, golden = find_pure_longitudinal(c, 4.0), golden_angle_scan(c, 4.0)
-        assert scan.seeds == golden.seeds == 100
+        assert scan.seeds == golden.seeds == (0 if eps == 0.0 else 100)
+        assert (scan.axis is None) is (golden.axis is None) is (eps != 0.0)
         assert scan.all_directions_pure is golden.all_directions_pure is False
         assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in golden.hits]
 
@@ -722,6 +730,115 @@ class TestAlgebraicSeeds:
         oracle_r15, oracle_q = chart_tables_oracle(r, tensor_eigen._SHIFT)
         assert r15.tobytes() == oracle_r15.tobytes() and q.tobytes() == oracle_q.tobytes()
         assert not (r.flags.writeable or r15.flags.writeable or q.flags.writeable)
+
+
+def jittered_hexagonal(k):
+    """The benchmark's ``hexagonal_voigt(default_rng(k), jitter=0.3)`` as a
+    stiffness tensor: transversely isotropic about z."""
+    c11, c12, c13, c33, c44 = np.array([400.0, 140.0, 120.0, 350.0, 100.0]) * (
+        1.0 + np.random.default_rng(k).uniform(-0.3, 0.3, 5))
+    return voigt_to_full(hexagonal_voigt(c11, c12, c13, c33, c44))
+
+
+def ti_quartic(alpha, beta, gamma, axis):
+    """The totally symmetric ``s`` with ``s:nnnn = alpha + beta c^2 + gamma
+    c^4`` on unit ``n``, where ``c = n.e`` and ``e`` is the unit ``axis``."""
+    e = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    terms = (np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3)),
+             np.einsum("i,j,kl->ijkl", e, e, np.eye(3)),
+             np.einsum("i,j,k,l->ijkl", e, e, e, e))
+    return sum(weight * sum(np.transpose(term, p) for p in itertools.permutations(range(4)))
+               for weight, term in zip((alpha, beta, gamma), terms)) / 24.0
+
+
+class TestTransverselyIsotropic:
+    """An exactly transversely isotropic ``s`` is answered in closed form:
+    the axis, one point of the basal ring and one of the cone, if any, with
+    ``seeds`` 0, the axis reported and the result certified."""
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_families_cover_the_newton_hits(self, k):
+        # the resultant fails on every one of these inputs, and the golden-angle
+        # Newton solve, which answered them before, samples each family; every
+        # sample lies on a reported set, with that set's kind and velocity
+        c = jittered_hexagonal(k)
+        scan = find_pure_longitudinal(c, 4.0)
+        assert real_eigenvectors(sa_split(c).s) is None
+        newton = acoustics._newton_search(sa_split(c).s, 4.0, fibonacci_sphere(100))
+        assert scan.seeds == 0 and scan.certified is True
+        assert scan.axis.tolist() == [0.0, 0.0, 1.0]
+        assert scan.hits[0].direction.tobytes() == scan.axis.tobytes()
+        assert [h.kind for h in scan.hits[1:]] == ["family"] * (len(scan.hits) - 1)
+        assert len(scan.hits) in (2, 3) and scan.hits[1].direction[2] == 0.0
+        heights = np.array([h.direction[2] for h in scan.hits])
+        for hit in newton.hits:
+            j = int(np.abs(heights - abs(hit.direction[2])).argmin())
+            assert abs(heights[j] - abs(hit.direction[2])) <= 1e-9
+            assert hit.kind == scan.hits[j].kind
+            assert hit.velocity == pytest.approx(scan.hits[j].velocity, rel=1e-12, abs=0)
+        # the solve misses the axis on the two inputs whose cone lies 12
+        # degrees from it
+        assert any(abs(h.direction[2]) == 1.0 for h in newton.hits) is (k not in (12, 13))
+
+    @pytest.mark.parametrize("alpha, beta, gamma, axis, kinds", [
+        (300.0, -40.0, 60.0, [0.0, 0.0, 1.0], ["max", "family", "family"]),
+        (300.0, 40.0, 60.0, [1.0, 2.0, 3.0], ["max", "family"]),
+        (300.0, 70.0, -60.0, [-1.0, 2.0, 0.5], ["min", "family", "family"]),
+        (300.0, -20.0, -30.0, [0.0, 1.0, 0.0], ["min", "family"]),
+        # gamma = -7 beta / 6 makes P = 0, so the axis comes from s_ijkl s_mjkl
+        (300.0, -60.0, 70.0, [2.0, -1.0, 0.0], ["max", "family", "family"]),
+    ])
+    def test_closed_form_of_a_built_quartic(self, alpha, beta, gamma, axis, kinds):
+        s, rho = ti_quartic(alpha, beta, gamma, axis), 2.0
+        e = np.asarray(axis) / np.linalg.norm(axis)
+        scan = find_pure_longitudinal(s, rho)
+        assert scan.seeds == 0 and scan.certified is True and not scan.all_directions_pure
+        assert min(np.linalg.norm(scan.axis - e), np.linalg.norm(scan.axis + e)) <= 1e-12
+        assert [h.kind for h in scan.hits] == kinds
+        heights = [float(h.direction @ e) ** 2 for h in scan.hits]
+        want = [1.0, 0.0] + [-beta / (2.0 * gamma)] * (len(kinds) - 2)
+        np.testing.assert_allclose(heights, want, rtol=0, atol=1e-12)
+        f = [alpha + beta * c2 + gamma * c2 * c2 for c2 in want]
+        np.testing.assert_allclose([h.velocity for h in scan.hits], np.sqrt(np.divide(f, rho)),
+                                   rtol=1e-12, atol=0)
+        assert all(h.residual <= acoustics.PURITY_TOL for h in scan.hits)
+
+    @pytest.mark.parametrize("rotate, scale", [(True, 1.0), (False, 1e-9), (False, 1e9)])
+    def test_rotation_and_unit_scale(self, rotate, scale):
+        q, r = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r)) if rotate else np.eye(3)
+        c = jittered_hexagonal(12)
+        reference = find_pure_longitudinal(c, 4.0)
+        scan = find_pure_longitudinal(
+            np.einsum("ia,jb,kc,ld,abcd->ijkl", q, q, q, q, c) * scale, 4.0)
+        assert scan.seeds == 0 and scan.certified is True
+        axis = q[:, 2]
+        assert min(np.linalg.norm(scan.axis - axis), np.linalg.norm(scan.axis + axis)) <= 1e-12
+        assert [h.kind for h in scan.hits] == [h.kind for h in reference.hits]
+        np.testing.assert_allclose([abs(h.direction @ axis) for h in scan.hits],
+                                   [h.direction[2] for h in reference.hits], rtol=0, atol=1e-12)
+        np.testing.assert_allclose([h.velocity for h in scan.hits],
+                                   [h.velocity * math.sqrt(scale) for h in reference.hits],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", [
+        "flat-ring", "flat-axis", "cone-at-axis", "cone-at-ring", "cubic", "triclinic",
+        "near-1e-6", "near-1e-4", "near-1e-2"])
+    def test_other_inputs_are_left_to_the_search(self, case):
+        # a flat ring (beta = 0), axis (beta + 2 gamma = 0) or cone, a cubic
+        # or triclinic s, and a 4e-8 to 4e-4 perturbation of an exact form
+        s = {
+            "flat-ring": lambda: ti_quartic(300.0, 0.0, 60.0, EZ),
+            "flat-axis": lambda: ti_quartic(300.0, -120.0, 60.0, EZ),
+            "cone-at-axis": lambda: ti_quartic(300.0, -120.0 * (1.0 - 1e-12), 60.0, EZ),
+            "cone-at-ring": lambda: ti_quartic(300.0, -1e-6, 60.0, EZ),
+            "cubic": lambda: sa_split(W).s,
+            "triclinic": lambda: sa_split(voigt_to_full(
+                random_spd_voigt(np.random.default_rng(3)))).s,
+        }.get(case, lambda: sa_split(near_hexagonal(float(case[5:]))).s)()
+        seeds = fibonacci_sphere(100)
+        f = acoustics._local_model(s, seeds)[0]
+        assert acoustics._transversely_isotropic(s, 1.0, seeds, f) is None
 
 
 class TestBatchedMerge:

@@ -479,7 +479,8 @@ class TestReportKeyOrder:
                                                       "fully_degenerate", "degenerate_pairs"]
         assert list(block["scan"]) == ["count", "non_causal_count"]
         pure = block["pure_longitudinal"]
-        assert list(pure) == ["all_directions_pure", "seeds", "morse", "certified", "hits"]
+        assert list(pure) == ["all_directions_pure", "seeds", "morse", "certified", "axis",
+                              "hits"]
         assert list(pure["morse"]) == ["max", "min", "saddle", "family"]
         assert pure["hits"]
         for hit in pure["hits"]:
@@ -535,7 +536,7 @@ class TestCli:
         assert "must be finite" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
     def test_tol_must_be_finite(self, w_file, bad):
         result = CliRunner().invoke(main, ["--tol", bad, "classify", w_file])
         assert result.exit_code == 2
@@ -644,8 +645,10 @@ class TestCli:
                 "acoustics"]["pure_longitudinal"]))
         assert blocks[0] == blocks[1]
         block = json.loads(blocks[0])
-        assert list(block) == ["all_directions_pure", "seeds", "morse", "certified", "hits"]
+        assert list(block) == ["all_directions_pure", "seeds", "morse", "certified", "axis",
+                               "hits"]
         assert block["seeds"] == len(block["hits"]) == 13 and block["certified"] is True
+        assert block["axis"] is None
         assert block["morse"] == {"max": 4, "min": 3, "saddle": 6, "family": 0}
         assert sorted(h["kind"] for h in block["hits"]) == ["max"] * 4 + ["min"] * 3 \
             + ["saddle"] * 6
@@ -660,6 +663,23 @@ class TestCli:
             main, ["acoustics", path, "--scan", "300", "--pure-modes"])
         assert result.exit_code == 0, result.output
         assert "all directions pure" in result.output
+
+    def test_acoustics_pure_modes_transversely_isotropic(self, tmp_path):
+        # one hit per set: the c-axis, the basal ring and the cone at 31.5 degrees
+        voigt = [[400.0, 140, 120, 0, 0, 0], [140, 400.0, 120, 0, 0, 0],
+                 [120, 120, 350.0, 0, 0, 0], [0, 0, 0, 100.0, 0, 0],
+                 [0, 0, 0, 0, 100.0, 0], [0, 0, 0, 0, 0, 130.0]]
+        path = write_material(tmp_path, material_doc(voigt=voigt))
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main, ["--json", str(out), "acoustics", path, "--density", "4", "--pure-modes"])
+        assert result.exit_code == 0, result.output
+        assert "pure longitudinal directions: 3 (1 max, 0 min, 0 saddle, " \
+               "2 family; certified)" in result.output
+        block = json.loads(out.read_text(encoding="utf-8"))["acoustics"]["pure_longitudinal"]
+        assert block["seeds"] == 0 and block["certified"] is True
+        assert block["axis"] == [0.0, 0.0, 1.0] == block["hits"][0]["direction"]
+        assert [h["kind"] for h in block["hits"]] == ["max", "family", "family"]
 
     def test_missing_file_exits_3(self):
         result = CliRunner().invoke(main, ["decompose", "/nonexistent/m.json"])
