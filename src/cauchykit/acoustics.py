@@ -28,11 +28,11 @@ that does not account for every root, runs Newton from golden-angle seeds.
 Either way it checks the set against the Euler characteristic, a necessary
 condition for completeness.  A *family* hit has a singular tangent Hessian, as
 on a continuous ring or cone of pure directions; the check does not apply
-there.  A transversely isotropic ``s`` has such families and a resultant that
-vanishes identically, so it is answered first, in closed form: with ``c = n.e``
-for the symmetry axis ``e``, ``f = alpha + beta c^2 + gamma c^4``, and the pure
-set is the axis, the basal ring and at most one cone, each reported once.  No
-result in this module uses scipy.
+there.  Two short cuts come first, read exactly off the orthogonal harmonics
+of ``f = S/5 + (6/7) P:nn + R:nnnn``: every direction is pure when ``P = R =
+0``, and a transversely isotropic ``s`` has ``f = alpha + beta c^2 + gamma
+c^4``, ``c = n.e`` for its axis ``e``, so its pure set is the axis, the basal
+ring and at most one cone, each reported once.  No result here uses scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import k_shear
-from .decomp import IrreducibleParts, sa_split
+from .decomp import IrreducibleParts, harmonic_split, sa_split
 from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
     IDENTITY3,
@@ -90,8 +90,8 @@ _NEWTON_STEP_CAP = 0.3  # radians
 _NEWTON_STEP_TOL = 1e-9  # radians; a seed whose last step was longer has not converged
 _FLAT_TOL = 1e-10  # relative to ||s||: no Newton step along a flatter direction
 _FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
-# relative to ||s||: an exactly transversely isotropic s matches its closed
-# form to ~1e-15, a 4e-8 triclinic perturbation of one departs by ~1e-8
+# relative to ||s||: the (P, R) residual of an exactly transversely isotropic s
+# is ~1e-15, that of a 4e-8 triclinic perturbation of one ~1e-8
 _TI_TOL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i - 1 (mod 3)
 _MERGE_ENTRIES = 1 << 12  # bound on the point pairs one merge block compares
@@ -166,10 +166,10 @@ class PureModeHit(NamedTuple):
 
 class PureModeScan(NamedTuple):
     """Result of a pure-mode search; ``seeds`` is the number of Newton starts:
-    the real eigenvectors of ``s`` when those give the result, 0 for the
-    closed form of a transversely isotropic ``s``, else the golden-angle seed
-    count.  ``axis`` is the unit symmetry axis of that closed form (largest
-    component positive), None otherwise."""
+    the real eigenvectors of ``s`` when those give the result, 0 where every
+    direction is pure or for the closed form of a transversely isotropic
+    ``s``, else the golden-angle seed count.  ``axis`` is the unit symmetry
+    axis of that closed form (largest component positive), None otherwise."""
 
     hits: tuple[PureModeHit, ...]
     all_directions_pure: bool
@@ -383,20 +383,20 @@ def find_pure_longitudinal(
     """Find every pure longitudinal-wave direction: the critical points of
     ``f(n) = s:nnnn`` on the projective plane, ``s`` the Cauchy part of ``c``.
 
-    They are the real eigenvectors of ``s``.  The search first computes all
-    13 eigenvectors as resultant roots (one ``np.linalg.eig``, see
-    :mod:`cauchykit.tensor_eigen`) and runs Newton from the real ones.
+    They are the real eigenvectors of ``s``.  First, from ``S``, ``P`` and
+    ``R`` of ``s`` (:func:`~cauchykit.decomp.harmonic_split`):
+    ``max(||P||, ||R||) <= PURITY_TOL ||s||`` gives ``all_directions_pure``
+    with ``seeds`` 0, and an exactly transversely isotropic ``s`` is answered
+    in closed form (:func:`_transversely_isotropic`).  Otherwise the search
+    computes all 13 eigenvectors as resultant roots (one ``np.linalg.eig``,
+    see :mod:`cauchykit.tensor_eigen`) and runs Newton from the real ones.
     That result stands when no root is unresolved between real and complex,
     every real root converges to a hit of its own, no hit is a ``family``
     and the Euler check holds.  Then ``seeds`` is the number of real roots
     and the hits are listed by decreasing ``s:nnnn`` at their roots, the
     fastest first.  Otherwise the search runs Newton from 100 golden-angle
     seeds, doubling them while ``certified`` is False up to ``grid_n``, and
-    lists the hits in seed order.  A residual at most ``PURITY_TOL`` on all 100
-    golden-angle seeds gives ``all_directions_pure=True`` before any solve.
-    Next, an exactly transversely isotropic ``s`` is answered in closed form
-    (:func:`_transversely_isotropic`), ahead of the resultant, which vanishes
-    identically on its families.
+    lists the hits in seed order.
 
     The Newton solve is batched and Riemannian: each step solves the 2x2
     tangent-Hessian system, skipping directions flatter than ``1e-10 ||s||``,
@@ -412,11 +412,10 @@ def find_pure_longitudinal(
         raise ValueError("grid_n must be at least 100")
     rho = check_density(rho)
     s = sa_split(c).s
-    seeds = fibonacci_sphere(_NEWTON_SEEDS)
-    f_seeds, sc = _local_model(s, seeds)[:2]
-    if float(_purity(sc, seeds).max()) <= PURITY_TOL:
-        return PureModeScan(hits=(), all_directions_pure=True, seeds=_NEWTON_SEEDS)
-    scan = _transversely_isotropic(s, rho, seeds, f_seeds)
+    scalar_s, dev_p, harm_r = harmonic_split(s)
+    if max(frobenius_norm2(dev_p), frobenius_norm4(harm_r)) <= PURITY_TOL * frobenius_norm4(s):
+        return PureModeScan(hits=(), all_directions_pure=True, seeds=0)
+    scan = _transversely_isotropic(s, rho, scalar_s, dev_p, harm_r)
     if scan is not None:
         return scan
     roots = real_eigenvectors(s)
@@ -424,43 +423,30 @@ def find_pure_longitudinal(
         scan = _newton_search(s, rho, roots)
         if len(scan.hits) == len(roots) and scan.certified:
             return scan
-    scan = _newton_search(s, rho, seeds)
+    scan = _newton_search(s, rho, fibonacci_sphere(_NEWTON_SEEDS))
     while scan.certified is False and scan.seeds < grid_n:
         scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)))
     return scan
 
 
-def _transversely_isotropic(s: np.ndarray, rho: float, seeds: np.ndarray,
-                            f_seeds: np.ndarray) -> PureModeScan | None:
-    """The pure directions of a transversely isotropic ``s`` in closed form,
-    or None where ``s`` is not one or the form is degenerate.
-
-    The axis ``e`` comes from :func:`_symmetry_axis`.  With ``c = n.e``,
-    ``f = alpha + beta c^2 + gamma c^4`` is read at the polar angles 0, 90
-    and 45 degrees and must equal ``f_seeds``, ``f`` on the ``seeds``,
-    within ``_TI_TOL ||s||``.  The hits are the axis, a ``max``
-    where ``beta + 2 gamma > 0`` and a ``min`` otherwise, then one ``family``
-    point on the basal ring ``c = 0`` and, where ``0 < -beta / (2 gamma) <
-    1``, one on the cone ``c^2 = -beta / (2 gamma)``.  None where the tangent
-    Hessian of ``f / 4`` across one of them is at most ``_FAMILY_TOL ||s||``,
-    the flatness that makes a Newton hit a ``family`` (``-(beta + 2 gamma) /
-    2`` on the axis, ``beta / 2`` on the ring, ``-beta (1 - c^2)`` on the cone,
-    which vanishes as its ``c^2`` nears 0 or 1), or where a hit's residual
-    exceeds ``PURITY_TOL``."""
+def _transversely_isotropic(s: np.ndarray, rho: float, scalar_s: float, dev_p: np.ndarray,
+                            harm_r: np.ndarray) -> PureModeScan | None:
+    """The pure directions of a transversely isotropic ``s``, given its ``S``,
+    ``P`` and ``R``, in closed form (:func:`_ti_quartic`): the axis, a ``max``
+    where ``beta + 2 gamma > 0`` and a ``min`` otherwise, one ``family`` point
+    on the basal ring ``c = 0`` and, where ``0 < -beta / (2 gamma) < 1``, one
+    on the cone ``c^2 = -beta / (2 gamma)``.  None where ``s`` is not one, or
+    where the tangent Hessian of ``f / 4`` across a set is at most
+    ``_FAMILY_TOL ||s||``, the flatness of a Newton ``family`` hit
+    (``-(beta + 2 gamma) / 2`` on the axis, ``beta / 2`` on the ring, ``-beta
+    (1 - c^2)`` on the cone), or where a hit's residual exceeds ``PURITY_TOL``."""
     scale = frobenius_norm4(s)
-    axis = _symmetry_axis(s, scale)
-    if axis is None:
+    form = _ti_quartic(scalar_s, dev_p, harm_r, scale)
+    if form is None:
         return None
+    axis, _alpha, beta, gamma = form
     ring = _cross(axis[None], IDENTITY3[np.abs(axis).argmin()][None])[0]
     ring /= math.sqrt(ring @ ring)
-    # f at c^2 = 1, 0 and 1/2 is alpha + beta + gamma, alpha, alpha + beta/2 + gamma/4
-    polar = np.stack([axis, ring, (axis + ring) * math.sqrt(0.5)])
-    f_axis, alpha, f_half = _local_model(s, polar)[0]
-    beta_gamma, two_beta_gamma = f_axis - alpha, 4.0 * (f_half - alpha)
-    beta, gamma = two_beta_gamma - beta_gamma, 2.0 * beta_gamma - two_beta_gamma
-    c2 = np.square(seeds @ axis)
-    if not np.abs(alpha + c2 * (beta + gamma * c2) - f_seeds).max() <= _TI_TOL * scale:
-        return None
     points, kinds = [axis, ring], ["max" if beta + 2.0 * gamma > 0 else "min", "family"]
     curvature = [-0.5 * (beta + 2.0 * gamma), 0.5 * beta]
     if beta * (beta + 2.0 * gamma) < 0:  # df/d(c^2) changes sign on (0, 1)
@@ -483,31 +469,37 @@ def _transversely_isotropic(s: np.ndarray, rho: float, seeds: np.ndarray,
                         axis=hits[0].direction.copy())
 
 
-def _symmetry_axis(s: np.ndarray, scale: float) -> np.ndarray | None:
-    """The axis ``e`` of the deviator ``D = b (ee - I/3)`` of ``s_ijkk`` (which
-    is proportional to ``P``), or of ``s_ijkl s_mjkl`` where the first is zero
-    (cubic, or ``P = 0``); None where both are zero or
-    ``D + (b/3) I`` is not ``b ee`` within ``_TI_TOL`` of ``||s||`` (of
-    ``||s||^2`` for the second).  Read in closed form: ``|b| = sqrt(3/2) ||D||``
-    with the sign of ``tr D^3 = 2 b^3 / 9``, and ``e`` from the row of ``b ee``
-    with the largest diagonal entry; a LAPACK eigen solver would add its code
-    pages to the search's peak memory."""
-    tol, m = _TI_TOL * scale, s.reshape(3, 27)
-    for t in (np.einsum("ijkk->ij", s), m @ m.T):
-        deviator = t - (np.trace(t) / 3.0) * IDENTITY3
+def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: float):
+    """``(e, alpha, beta, gamma)``, ``s:nnnn = alpha + beta c^2 + gamma c^4`` with
+    ``c = n.e``, where ``s`` (norm ``scale``, split into ``S``, ``P``, ``R``)
+    is transversely isotropic about the unit ``e``, else None.  That holds
+    exactly when ``P = p (ee - g/3)`` and ``R = r Z_e``, ``Z_e`` the ``R`` of
+    ``eeee``; ``p = (3/2) e.P.e`` and ``r = (35/8) R:eeee`` are the orthogonal
+    projections, and each residual must be at most ``_TI_TOL ||s||``.  ``e``
+    comes from the deviator ``D = b (ee - I/3)`` of ``P``, or of ``R_ijkl
+    R_mjkl`` where ``||P|| <= _TI_TOL ||s||``, in closed form, as a LAPACK
+    solver would add its code pages to peak memory: ``|b| = sqrt(3/2) ||D||``
+    with the sign of ``tr D^3``, ``e`` the row of ``D + (b/3) I = b ee`` with
+    the largest diagonal entry."""
+    tol, deviator, size = _TI_TOL * scale, dev_p, frobenius_norm2(dev_p)
+    if size <= tol:
+        m = harm_r.reshape(3, 27)
+        deviator = m @ m.T - (np.vdot(m, m) / 3.0) * IDENTITY3
         size = frobenius_norm2(deviator)
-        if size > tol:
-            break
-        tol *= scale
-    else:
-        return None
+        if size <= tol * scale:
+            return None
     b = math.copysign(math.sqrt(1.5) * size, np.vdot(deviator @ deviator, deviator))
     rank_one = deviator + (b / 3.0) * IDENTITY3
     axis = rank_one[np.abs(np.diag(rank_one)).argmax()]
     axis = axis / math.sqrt(axis @ axis)
-    if frobenius_norm2(rank_one - b * (axis[:, None] * axis)) > tol:
+    ee = axis[:, None] * axis
+    p = 1.5 * float(axis @ dev_p @ axis)
+    if frobenius_norm2(dev_p - p * (ee - IDENTITY3 / 3.0)) > tol:
         return None
-    return axis
+    r = 35.0 / 8.0 * float(ee.ravel() @ harm_r.reshape(9, 9) @ ee.ravel())
+    if frobenius_norm4(harm_r - r * harmonic_split(ee[:, :, None, None] * ee)[2]) > tol:
+        return None
+    return axis, scalar_s / 5.0 - 2.0 * p / 7.0 + 3.0 * r / 35.0, 6.0 * (p - r) / 7.0, r
 
 
 def _local_model(s: np.ndarray, n: np.ndarray):

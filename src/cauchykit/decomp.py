@@ -62,6 +62,7 @@ __all__ = [
     "check_tolerance",
     "sa_split",
     "a_from_delta",
+    "harmonic_split",
     "so3_refine",
     "generator_tensors",
     "decompose",
@@ -176,7 +177,8 @@ class IrreducibleParts:
     and sum to the decomposed stiffness tensor.
     ``split`` is the permutation split they were refined from (``split.c`` is
     the decomposed tensor) and ``delta`` the 3x3 form of its non-Cauchy part.
-    The norms here and on ``split`` are computed on first read and cached.
+    The norms here and on ``split``, and the four sub-tensors that
+    :func:`generator_tensors` builds, are computed on first read and cached.
     """
 
     split: SAParts
@@ -186,14 +188,19 @@ class IrreducibleParts:
     harm_r: np.ndarray
     scalar_a: float
     dev_q: np.ndarray
-    tensor_s1: np.ndarray
-    tensor_s2: np.ndarray
-    tensor_a1: np.ndarray
-    tensor_a2: np.ndarray
 
     def __post_init__(self):
-        _freeze_fields(self, ("delta", "dev_p", "harm_r", "dev_q", "tensor_s1",
-                              "tensor_s2", "tensor_a1", "tensor_a2"))
+        _freeze_fields(self, ("delta", "dev_p", "harm_r", "dev_q"))
+
+    @cached_property
+    def _sub_tensors(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(_readonly, generator_tensors(self.scalar_s, self.dev_p,
+                                                      self.scalar_a, self.dev_q)))
+
+    tensor_s1 = property(lambda self: self._sub_tensors[0])
+    tensor_s2 = property(lambda self: self._sub_tensors[1])
+    tensor_a1 = property(lambda self: self._sub_tensors[2])
+    tensor_a2 = property(lambda self: self._sub_tensors[3])
 
     @cached_property
     def p_norm(self) -> float:
@@ -326,30 +333,32 @@ def generator_tensors(scalar_s: float, dev_p: np.ndarray, scalar_a: float,
     return s1, s2, a1, a2
 
 
+def harmonic_split(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The rotation split ``(S, P, R)`` of a totally symmetric rank-4 ``s``:
+    ``S = s[i,i,k,k]``, ``P = s[i,j,k,k] - (S/3) g`` and ``R = s - s1 - s2``
+    (:func:`generator_tensors`), so ``s:nnnn = S/5 + (6/7) P:nn + R:nnnn`` on
+    unit ``n``.  ``R`` traceless on every index pair checks the 1/15 and 1/7
+    coefficients.  ``R`` of ``eeee`` (unit ``e``) is the zonal harmonic
+    ``Z_e = eeee - (6/7) sym(ee g) + (3/35) sym(g g)``, ``sym`` the average
+    over the 24 index permutations."""
+    scalar_s = float(np.einsum("iikk->", s))
+    dev_p = np.einsum("ijkk->ij", s) - scalar_s / 3.0 * IDENTITY3
+    harm_r = s - scalar_s / 15.0 * _S1_BASIS - _sym_pg(dev_p) / 7.0
+    return scalar_s, dev_p, harm_r
+
+
 def so3_refine(parts: SAParts) -> IrreducibleParts:
     """Refine a permutation split into the five rotation-invariant sub-tensors.
 
-    The symmetric part yields the scalar ``S = s[i,i,k,k]``, the deviator
-    ``P = s[i,j,k,k] - (S/3) g`` and the harmonic remainder
-    ``R = s - s1 - s2``.  ``R`` coming out traceless on every index pair is a
-    built-in self check of the 1/15 and 1/7 coefficients of
-    :func:`generator_tensors`.  The mixed part yields ``A = 2 tr delta`` and
+    The symmetric part yields ``S``, ``P`` and ``R`` by
+    :func:`harmonic_split`.  The mixed part yields ``A = 2 tr delta`` and
     ``Q = delta - (tr delta / 3) g``, and ``a1 + a2 = a`` exactly.
     """
-    s, a = parts.s, parts.a
-    g = IDENTITY3
-
-    scalar_s = float(np.einsum("iikk->", s))
-    dev_p = np.einsum("ijkk->ij", s) - scalar_s / 3.0 * g
-
-    delta = _condense(a)
+    scalar_s, dev_p, harm_r = harmonic_split(parts.s)
+    delta = _condense(parts.a)
     tr_delta = float(delta.trace())
     scalar_a = 2.0 * tr_delta
-    dev_q = delta - tr_delta / 3.0 * g
-
-    s1, s2, a1, a2 = generator_tensors(scalar_s, dev_p, scalar_a, dev_q)
-    harm_r = s - s1 - s2
-
+    dev_q = delta - tr_delta / 3.0 * IDENTITY3
     # every array here is made here, so it is frozen in place, not copied
     return IrreducibleParts(
         split=parts,
@@ -359,10 +368,6 @@ def so3_refine(parts: SAParts) -> IrreducibleParts:
         harm_r=_readonly(harm_r),
         scalar_a=scalar_a,
         dev_q=_readonly(dev_q),
-        tensor_s1=_readonly(s1),
-        tensor_s2=_readonly(s2),
-        tensor_a1=_readonly(a1),
-        tensor_a2=_readonly(a2),
     )
 
 

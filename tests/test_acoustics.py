@@ -20,7 +20,13 @@ from cauchykit.acoustics import (
     sum_squared_velocities,
     wave_solve,
 )
-from cauchykit.decomp import a_from_delta, decompose, sa_split
+from cauchykit.decomp import (
+    a_from_delta,
+    decompose,
+    generator_tensors,
+    harmonic_split,
+    sa_split,
+)
 from cauchykit.materials import material_from_dict
 from cauchykit.report import acoustics_report, scan_rows, write_scan_csv
 from cauchykit.tensor_eigen import real_eigenvectors
@@ -836,9 +842,124 @@ class TestTransverselyIsotropic:
             "triclinic": lambda: sa_split(voigt_to_full(
                 random_spd_voigt(np.random.default_rng(3)))).s,
         }.get(case, lambda: sa_split(near_hexagonal(float(case[5:]))).s)()
-        seeds = fibonacci_sphere(100)
-        f = acoustics._local_model(s, seeds)[0]
-        assert acoustics._transversely_isotropic(s, 1.0, seeds, f) is None
+        assert acoustics._transversely_isotropic(s, 1.0, *harmonic_split(s)) is None
+
+
+def zonal_oracle(e):
+    """``Z_e = eeee - (6/7) sym(ee g) + (3/35) sym(g g)``, ``sym`` the average
+    over the 24 index permutations, term by term."""
+    g = np.eye(3)
+
+    def sym(t):
+        return sum(np.transpose(t, p) for p in itertools.permutations(range(4))) / 24.0
+
+    return (np.einsum("i,j,k,l->ijkl", e, e, e, e)
+            - 6.0 / 7.0 * sym(np.einsum("i,j,kl->ijkl", e, e, g))
+            + 3.0 / 35.0 * sym(np.einsum("ij,kl->ijkl", g, g)))
+
+
+def three_point_fit_oracle(s, axis):
+    """``alpha, beta, gamma`` of ``s:nnnn = alpha + beta c^2 + gamma c^4``
+    read from ``s:nnnn`` at the polar angles 0, 90 and 45 degrees about the
+    unit ``axis``: the fit the transversely isotropic closed form used before
+    it read the coefficients off ``S``, ``P`` and ``R``."""
+    ring = np.cross(axis, np.eye(3)[np.abs(axis).argmin()])
+    ring /= np.linalg.norm(ring)
+    f_axis, alpha, f_half = (float(np.einsum("ijkl,i,j,k,l->", s, n, n, n, n))
+                             for n in (axis, ring, (axis + ring) * math.sqrt(0.5)))
+    beta_gamma, two_beta_gamma = f_axis - alpha, 4.0 * (f_half - alpha)
+    return alpha, two_beta_gamma - beta_gamma, 2.0 * beta_gamma - two_beta_gamma
+
+
+def all_pure_oracle(s):
+    """The all-pure rule the search used before it read ``P`` and ``R``: the
+    purity residual of ``s.nn`` is at most ``PURITY_TOL`` on 100 golden-angle
+    directions."""
+    n = fibonacci_sphere(100)
+    sc = np.einsum("ijkl,nj,nk->nil", s, n, n)
+    sn = np.einsum("nil,nl->ni", sc, n)
+    residual = sn - np.einsum("ni,ni->n", n, sn)[:, None] * n
+    scale = np.linalg.norm(sc, axis=(1, 2))
+    return bool((np.linalg.norm(residual, axis=1) / scale).max() <= acoustics.PURITY_TOL)
+
+
+class TestClosedFormShortCuts:
+    """Both short cuts of the search are read off ``S``, ``P`` and ``R``:
+    every direction is pure exactly when ``P = R = 0``, and ``s`` is
+    transversely isotropic exactly when ``P = p (ee - g/3)`` and ``R = r Z_e``."""
+
+    def test_zonal_harmonic(self, rng):
+        for _ in range(20):
+            e, n = random_unit(rng), random_unit(rng)
+            zonal = harmonic_split(np.einsum("i,j,k,l->ijkl", e, e, e, e))[2]
+            assert np.abs(zonal - zonal_oracle(e)).max() <= 1e-15
+            c2 = float(n @ e) ** 2
+            assert float(np.einsum("ijkl,i,j,k,l->", zonal, n, n, n, n)) == pytest.approx(
+                c2 * c2 - 6.0 / 7.0 * c2 + 3.0 / 35.0, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    @pytest.mark.parametrize("k", range(20))
+    def test_quartic_equals_the_three_point_fit(self, k, scale):
+        q, r = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        c = np.einsum("ia,jb,kc,ld,abcd->ijkl", q, q, q, q, jittered_hexagonal(k)) * scale
+        s = sa_split(c).s
+        axis, *coefficients = acoustics._ti_quartic(*harmonic_split(s), frobenius_norm4(s))
+        assert min(np.linalg.norm(axis - q[:, 2]), np.linalg.norm(axis + q[:, 2])) <= 1e-12
+        np.testing.assert_allclose(coefficients, three_point_fit_oracle(s, axis), rtol=0,
+                                   atol=1e-14 * frobenius_norm4(s))
+
+    @pytest.mark.parametrize("part", ["P", "R"])
+    def test_each_residual_is_checked(self, part):
+        # a 1e-10 relative departure of P alone (one that keeps the axis read
+        # off P) or of R alone: under the purity tolerance of the hits, over
+        # the transversely isotropic one
+        s = ti_quartic(300.0, -40.0, 60.0, EZ)
+        if part == "P":
+            extra = generator_tensors(0.0, np.diag([1.0, -1.0, 0.0]), 0.0, np.zeros((3, 3)))[1]
+        else:
+            extra = harmonic_split(sa_split(random_stiffness(np.random.default_rng(2))).s)[2]
+        s = s + 1e-10 * frobenius_norm4(s) / frobenius_norm4(extra) * extra
+        assert acoustics._ti_quartic(*harmonic_split(s), frobenius_norm4(s)) is None
+        assert acoustics._transversely_isotropic(s, 1.0, *harmonic_split(s)) is None
+
+    @pytest.mark.parametrize("case, pure", [
+        ("iso-1", True), ("iso-1e-9", True), ("iso-1e9", True), ("iso+1e-14", True),
+        ("iso+1e-6", False), ("W", False), ("P-only", False)])
+    def test_all_pure_agrees_with_the_seed_rule(self, case, pure):
+        tri = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
+        tri *= frobenius_norm4(ISO) / frobenius_norm4(tri)
+        deviator = random_symmetric3(np.random.default_rng(5))
+        deviator -= np.trace(deviator) / 3.0 * np.eye(3)
+        if case == "W":
+            c = W
+        elif case == "P-only":
+            c = sum(generator_tensors(30.0, deviator, 0.0, np.zeros((3, 3)))[:2])
+        elif case.startswith("iso-"):
+            c = ISO * float(case[4:])
+        else:
+            c = ISO + float(case[4:]) * tri
+        s = sa_split(c).s
+        _scalar, dev_p, harm_r = harmonic_split(s)
+        if case == "W":  # P = 0, R != 0
+            assert frobenius_norm2(dev_p) <= 1e-15 * frobenius_norm4(s) < frobenius_norm4(harm_r)
+        if case == "P-only":  # P != 0, R = 0
+            assert frobenius_norm4(harm_r) <= 1e-15 * frobenius_norm4(s) < frobenius_norm2(dev_p)
+        scan = find_pure_longitudinal(c, 1.0)
+        assert scan.all_directions_pure is all_pure_oracle(s) is pure
+        assert (scan.seeds == 0 and scan.hits == ()) if pure else scan.hits
+
+    def test_seeds_are_built_only_on_a_fallback(self, monkeypatch):
+        def no_seeds(count):
+            raise AssertionError(f"{count} golden-angle seeds built")
+
+        monkeypatch.setattr(acoustics, "fibonacci_sphere", no_seeds)
+        triclinic = voigt_to_full(random_spd_voigt(np.random.default_rng(3)))
+        assert len(find_pure_longitudinal(W, 1.0).hits) == 13
+        scan = find_pure_longitudinal(triclinic, 1.0)
+        assert scan.seeds == len(scan.hits) > 0
+        assert find_pure_longitudinal(ISO, 1.0).all_directions_pure
+        assert find_pure_longitudinal(jittered_hexagonal(0), 4.0).axis is not None
 
 
 class TestBatchedMerge:
