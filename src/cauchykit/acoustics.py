@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -351,7 +352,9 @@ def _scalar_or_array(x: np.ndarray):
 
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic near-uniform unit directions on the sphere (golden-angle
-    lattice), shape ``(count, 3)``."""
+    lattice), shape ``(count, 3)``.  ``count`` must be an integer (a numpy
+    integer will do) of at least 1."""
+    count = operator.index(count)
     if count < 1:
         raise ValueError("need at least one point")
     i = np.arange(count, dtype=float)

@@ -182,10 +182,12 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
     directions = []
     for spec in direction_specs:
         v = _parse_floats(ctx, spec, 3, "--n")
-        norm = float(np.linalg.norm(v))
-        if not (np.isfinite(norm) and norm > 0):
+        size = float(np.abs(v).max())
+        if size == 0:
             _fail(ctx, EXIT_VALIDATION, "--n must be a nonzero finite vector")
-        directions.append(v / norm)
+        if not 1e-150 < size < 1e150:  # keep |v|^2 in the normal float range
+            v = v / size
+        directions.append(v / float(np.linalg.norm(v)))
     if not directions and not scan_count and not pure_modes:
         _fail(ctx, EXIT_VALIDATION, "nothing to do: pass --n, --scan or --pure-modes")
 

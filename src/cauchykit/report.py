@@ -199,8 +199,8 @@ def acoustics_report(
     if scan:
         rows = scan_rows(c_gpa, rho_g_cm3, scan)
         block["scan"] = {
-            "count": scan,
-            # an int, not np.int64, which json rejects
+            # ints, not numpy integers, which json rejects
+            "count": len(rows),
             "non_causal_count": int(np.count_nonzero(~rows["causal"])),
         }
 
@@ -253,12 +253,12 @@ def write_scan_csv(rows: np.ndarray, path) -> None:
     mandatory header ``nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag``; floats
     carry 17 significant digits and a non-causal velocity reads ``nan``.
     ``rows`` are :func:`scan_rows` output."""
-    floats = np.column_stack((rows["n"], rows["velocities"], rows["purity_l"])).tolist()
-    lines = [_CSV_ROW % (*row, flag)
-             for row, flag in zip(floats, rows["degenerate"].tolist())]
+    # one % over the whole table; %d of the stacked 1.0/0.0 flag prints 1/0
+    table = np.column_stack((rows["n"], rows["velocities"], rows["purity_l"],
+                             rows["degenerate"]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag\n")
-        fh.writelines(lines)
+        fh.write("nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag\n"
+                 + _CSV_ROW * len(rows) % tuple(table.ravel().tolist()))
 
 
 def _block_field(block: dict, name: str, shape: tuple):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from cauchykit.tensor_core import (
     cubic_stiffness,
     frobenius_norm2,
     frobenius_norm4,
+    full_to_voigt,
     isotropic_stiffness,
     voigt_to_full,
 )
@@ -171,13 +173,20 @@ class TestDensityGuard:
             find_pure_longitudinal(W, rho, grid_n=100)
 
 
+def indefinite_triclinic_voigt(rng):
+    b = rng.uniform(-1, 1, (6, 6))
+    return (0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100
+
+
 class TestScanCsv:
-    def test_bytes_equal_reference_formatter(self, rng, tmp_path):
-        b = rng.uniform(-1, 1, (6, 6))
-        voigt = (0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100
-        c = voigt_to_full(voigt)
-        rows = scan_rows(c, 3.0, 300)
-        assert any(not r["causal"] for r in rows) and any(r["causal"] for r in rows)
+    @pytest.mark.parametrize("build", [
+        lambda rng: scan_rows(voigt_to_full(indefinite_triclinic_voigt(rng)), 3.0, 300),
+        lambda rng: scan_rows(ISO, 1.0, 500),  # every flag reads 1, not 1.0
+        lambda rng: scan_rows(ISO, 1.0, 1)[:0],  # the header alone
+        lambda rng: scan_rows(W, 1.0, 20000),
+    ], ids=["indefinite", "isotropic", "empty", "W-20000"])
+    def test_bytes_equal_reference_formatter(self, rng, tmp_path, build):
+        rows = build(rng)
 
         def fmt(x):
             return "nan" if math.isnan(x) else f"{x:.17g}"
@@ -190,8 +199,13 @@ class TestScanCsv:
         path = tmp_path / "scan.csv"
         write_scan_csv(rows, path)
         assert path.read_bytes() == expected.encode("utf-8")
-        assert b",nan," in path.read_bytes()
+        assert (b",nan," in path.read_bytes()) == (not rows["causal"].all())
 
+    def test_columns_are_one_batched_solve(self, rng):
+        voigt = indefinite_triclinic_voigt(rng)
+        c = voigt_to_full(voigt)
+        rows = scan_rows(c, 3.0, 300)
+        assert any(not r["causal"] for r in rows) and any(r["causal"] for r in rows)
         # the table's columns are the one batched solve, in lattice order
         wave = wave_solve(christoffel(c, fibonacci_sphere(300), 3.0))
         assert len(rows) == 300
@@ -212,6 +226,21 @@ class TestScanCsv:
         # a row is a view: an edit through it shows in the column
         rows[7]["velocities"] = [1.0, 2.0, 3.0]
         assert rows["velocities"][7].tolist() == [1.0, 2.0, 3.0]
+
+    def test_count_must_be_an_integer(self):
+        for count in (2.5, 150.0, "150"):
+            with pytest.raises(TypeError):
+                scan_rows(W, 1.0, count)
+        with pytest.raises(ValueError, match="at least one point"):
+            fibonacci_sphere(0)
+        assert np.array_equal(fibonacci_sphere(np.int64(7)), fibonacci_sphere(7))
+        record = material_from_dict({"schema_version": "1", "name": "iso", "stiffness": {
+            "unit": "GPa", "voigt": (100 * full_to_voigt(ISO)).tolist()}})
+        with pytest.raises(TypeError):
+            acoustics_report(record, 1.0, scan=150.5)
+        report, rows = acoustics_report(record, 1.0, scan=np.int64(150))
+        assert type(report["acoustics"]["scan"]["count"]) is int and len(rows) == 150
+        json.dumps(report, allow_nan=False)
 
 
 class TestWaveSolve:

@@ -573,6 +573,40 @@ class TestCli:
             main, ["acoustics", w_file, "--n", "nan,0,1", "--density", "19.25"])
         assert result.exit_code == 2
 
+    def test_acoustics_zero_direction_exits_2(self, w_file):
+        result = CliRunner().invoke(
+            main, ["acoustics", w_file, "--n", "0,0,0", "--density", "19.25"])
+        assert result.exit_code == 2
+        assert "--n must be a nonzero finite vector" in result.output
+
+    @pytest.mark.parametrize("spec, same_as", [
+        ("1e200,1e200,0", "1,1,0"),
+        ("1e154,1e154,1e154", "1,1,1"),
+        ("1e-160,1e-160,0", "1,1,0"),
+    ])
+    def test_acoustics_direction_of_extreme_size(self, tmp_path, w_file, spec, same_as):
+        # |v|^2 overflows or underflows; the direction still normalizes
+        out = tmp_path / "report.json"
+        outputs = []
+        for n in (spec, same_as):
+            result = CliRunner().invoke(
+                main, ["--json", str(out), "acoustics", w_file, "--n", n,
+                       "--density", "19.25"])
+            assert result.exit_code == 0, result.output
+            outputs.append((result.output, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_acoustics_direction_is_v_over_its_norm(self, tmp_path, w_file):
+        # an ordinary vector is not rescaled first, which would change last bits
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main, ["--json", str(out), "acoustics", w_file, "--n", "0.3,-0.2,0.9",
+                   "--density", "19.25"])
+        assert result.exit_code == 0, result.output
+        v = np.array([0.3, -0.2, 0.9])
+        n = json.loads(out.read_text())["acoustics"]["directions"][0]["n"]
+        assert n == (v / float(np.linalg.norm(v))).tolist()
+
     def test_acoustics_isotropic_direction_independent(self, tmp_path):
         voigt = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],
                  [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]]
