@@ -398,8 +398,8 @@ def find_pure_longitudinal(
     and the Euler check holds.  Then ``seeds`` is the number of real roots
     and the hits are listed by decreasing ``s:nnnn`` at their roots, the
     fastest first.  Otherwise the search runs Newton from 100 golden-angle
-    seeds, doubling them while ``certified`` is False up to ``grid_n``, and
-    lists the hits in seed order.
+    seeds, doubling them while ``certified`` is False up to ``grid_n`` (an
+    integer of at least 100), and lists the hits in seed order.
 
     The Newton solve is batched and Riemannian: each step solves the 2x2
     tangent-Hessian system, skipping directions flatter than ``1e-10 ||s||``,
@@ -411,6 +411,7 @@ def find_pure_longitudinal(
     merged within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
     identified; the lowest residual wins).
     """
+    grid_n = operator.index(grid_n)
     if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
     rho = check_density(rho)

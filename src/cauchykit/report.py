@@ -161,15 +161,20 @@ def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
 def acoustics_report(
     record: MaterialRecord,
     rho_g_cm3: float,
-    directions: list | None = None,
+    directions: np.ndarray | list | None = None,
     scan: int | None = None,
     pure_modes: bool = False,
 ) -> tuple[dict, np.ndarray]:
     """Acoustic report plus the :func:`scan_rows` table, as ``(report, rows)``;
     ``rows`` has zero rows unless ``scan``.  Stiffness is converted to GPa and
-    density is in g/cm^3, so velocities are km/s.
+    density is in g/cm^3, so velocities are km/s.  ``directions`` is an
+    (N, 3) array-like of unit vectors; with zero rows there is no
+    ``directions`` block.
     """
     rho_g_cm3 = ac.check_density(rho_g_cm3)
+    dirs = np.asarray(() if directions is None else directions, dtype=float)
+    if dirs.shape != (0,) and (dirs.ndim != 2 or dirs.shape[1] != 3):
+        raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
     c_gpa = record.stiffness_gpa()
     parts = decomp.decompose(c_gpa)
     report = {
@@ -182,10 +187,8 @@ def acoustics_report(
     }
     block = report["acoustics"]
 
-    if directions:
-        block["directions"] = _direction_entries(
-            c_gpa, parts, np.asarray(directions, dtype=float), rho_g_cm3
-        )
+    if len(dirs):
+        block["directions"] = _direction_entries(c_gpa, parts, dirs, rho_g_cm3)
 
     crit = ac.critical_directions(parts)
     block["critical_directions"] = {

@@ -8,17 +8,21 @@ of its algebraic seeds one entry at a time.  The formula oracles below them are
 independent forms the library does not use: the symmetry-orbit projection, the
 Voigt-component formula for ``Q``, the general family of Cauchy relations and
 the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
-``rotate4`` apply any invertible matrix, not only a rotation.
+``rotate4`` apply any invertible matrix, not only a rotation.  ``run_cli`` runs
+the command line in this process.
 """
 
+import contextlib
+import io
 import itertools
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cauchykit import acoustics
+from cauchykit import acoustics, cli
 from cauchykit.decomp import check_stiffness
 from cauchykit.tensor_core import (
     SymmetryViolation,
@@ -381,3 +385,16 @@ def w_file(tmp_path):
     path.write_text((resources.files("cauchykit") / "data" / "w.json").read_text(),
                     encoding="utf-8")
     return str(path)
+
+
+def run_cli(args):
+    """Run ``cauchykit.cli.main(args)`` with stdout and stderr captured into one
+    buffer.  ``exit_code`` is the ``SystemExit`` code, or the return value, with
+    ``None`` meaning 0; ``output`` is everything the command printed."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(buffer):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code or 0, output=buffer.getvalue())

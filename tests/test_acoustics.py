@@ -474,6 +474,18 @@ class TestPureLongitudinal:
         with pytest.raises(ValueError):
             find_pure_longitudinal(W, 1.0, grid_n=50)
 
+    @pytest.mark.parametrize("grid_n", [150.5, math.nan, math.inf])
+    def test_grid_must_be_an_integer(self, monkeypatch, grid_n):
+        def no_search(c):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(acoustics, "sa_split", no_search)
+        with pytest.raises(TypeError):
+            find_pure_longitudinal(W, 1.0, grid_n=grid_n)
+
+    def test_numpy_integer_grid(self):
+        assert len(find_pure_longitudinal(W, 1.0, grid_n=np.int64(2000)).hits) == 13
+
 
 def orthorhombic_voigt(c11, c22, c33, c12, c13, c23, c44, c55, c66):
     m = np.diag([c11, c22, c33, c44, c55, c66])

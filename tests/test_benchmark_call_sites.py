@@ -1,9 +1,12 @@
-"""The benchmark's in-process workloads still run on the library as it is.
+"""The benchmark's workloads still run on the library as it is.
 
 ``perfbench/`` calls the library through fixed call sites (``scan_rows`` and
-its rows, ``find_pure_longitudinal``, the reports).  This test only reads
-``perfbench/``: it runs one checked pass of each in-process workload at its
-minimal size, so a library change that breaks a call site fails here.
+its rows, ``find_pure_longitudinal``, the reports) and runs the CLI as
+``python -m cauchykit.cli``, comparing each ``--json`` file with the report it
+builds in process.  This test only reads ``perfbench/``: it runs one checked
+pass of each workload at its minimal size (four CLI processes for
+``cli_cold``), so a library or CLI change that breaks a call site, an
+invocation or the ``--json`` bytes fails here.
 """
 
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["catalog", "sphere_scan", "pure_search"])
+@pytest.mark.parametrize("name", ["catalog", "sphere_scan", "pure_search", "cli_cold"])
 def test_one_pass_has_no_failure(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer

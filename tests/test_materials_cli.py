@@ -3,9 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from cauchykit.cli import main
 from cauchykit.decomp import classify, decompose
 from cauchykit.materials import (
     Density,
@@ -26,6 +24,8 @@ from cauchykit.report import (
     reconstruct_stiffness,
 )
 from cauchykit.tensor_core import cubic_stiffness, full_to_voigt
+
+from conftest import run_cli
 
 EXPECTED_SIGNS = {
     "alsb": "positive", "inp": "positive", "inas": "positive",
@@ -68,6 +68,25 @@ class TestLoadMaterial:
         voigt[0, 1] = 1.0  # (1,2) without the mirror entry
         with pytest.raises(MaterialError, match=r"\(1, 2\)"):
             material_from_dict(material_doc(voigt=voigt.tolist()))
+
+    def test_small_asymmetry_is_stored_symmetric(self):
+        voigt = np.diag([3.0] * 3 + [1.0] * 3)
+        voigt[0, 1], voigt[1, 0] = 1.0, 1.0 + 9e-9  # 3e-9 of the largest entry
+        record = material_from_dict(material_doc(voigt=voigt.tolist()))
+        assert np.array_equal(record.voigt, record.voigt.T)
+        assert record.voigt[0, 1] == 0.5 * (1.0 + (1.0 + 9e-9))
+
+    def test_non_numeric_voigt_entry_rejected(self):
+        voigt = np.diag([3.0] * 3 + [1.0] * 3).tolist()
+        voigt[2][2] = "x"
+        with pytest.raises(MaterialError, match="voigt entries must be numbers"):
+            material_from_dict(material_doc(voigt=voigt))
+
+    def test_cubic_structural_zero_violation_warns(self):
+        voigt = np.diag([3.0] * 3 + [1.0] * 3)
+        voigt[0, 3] = voigt[3, 0] = 0.5
+        record = material_from_dict(material_doc(voigt=voigt.tolist(), crystal_system="cubic"))
+        assert any("expects C14 = 0" in w for w in record.warnings)
 
     def test_hexagonal_c66_violation_warns(self):
         voigt = np.zeros((6, 6))
@@ -235,7 +254,7 @@ class TestLoadMaterial:
         doc = material_doc(density={"value": 10**400, "unit": "g/cm^3"})
         with pytest.raises(MaterialError, match="finite"):
             material_from_dict(doc)
-        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        result = run_cli(["decompose", write_material(tmp_path, doc)])
         assert result.exit_code == 2, result.output
         assert "finite" in result.output
 
@@ -250,7 +269,7 @@ class TestLoadMaterial:
         doc = material_doc(voigt=payload)
         with pytest.raises(MaterialError, match="finite"):
             material_from_dict(doc)
-        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        result = run_cli(["decompose", write_material(tmp_path, doc)])
         assert result.exit_code == 2, result.output
 
     @pytest.mark.parametrize("flat", [False, True], ids=["6x6", "upper-triangle"])
@@ -258,7 +277,7 @@ class TestLoadMaterial:
         doc = material_doc(voigt=[0] * 21 if flat else np.zeros((6, 6)).tolist())
         with pytest.raises(MaterialError, match="all zero"):
             material_from_dict(doc)
-        result = CliRunner().invoke(main, ["decompose", write_material(tmp_path, doc)])
+        result = run_cli(["decompose", write_material(tmp_path, doc)])
         assert result.exit_code == 2, result.output
         assert "all zero" in result.output
 
@@ -409,6 +428,20 @@ class TestReports:
         build(bundled_material("w"))
         assert calls == {"sa_split": 1, "so3_refine": 1}
 
+    def test_acoustics_report_takes_a_direction_array(self, tmp_path):
+        record = bundled_material("w")
+        for rows in ([[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]):
+            paths = [tmp_path / "list.json", tmp_path / "array.json"]
+            for directions, path in zip((rows, np.array(rows)), paths):
+                dump_json(acoustics_report(record, 19.25, directions=directions)[0], path)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        for empty in (None, [], (), np.zeros((0, 3))):
+            report, _rows = acoustics_report(record, 19.25, directions=empty)
+            assert "directions" not in report["acoustics"]
+        for bad in ([0.0, 0.0, 1.0], np.zeros((2, 2)), np.zeros((1, 3, 1)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="shape"):
+                acoustics_report(record, 19.25, directions=bad)
+
     def test_decomposition_block_contents(self):
         report = decomposition_report(bundled_material("w"))
         block = report["decomposition"]
@@ -496,15 +529,14 @@ def write_material(tmp_path, doc, name="mat.json"):
 class TestCli:
     def test_decompose_and_json_output(self, tmp_path, w_file):
         out = tmp_path / "report.json"
-        runner = CliRunner()
-        result = runner.invoke(main, ["--json", str(out), "decompose", w_file])
+        result = run_cli(["--json", str(out), "decompose", w_file])
         assert result.exit_code == 0, result.output
         assert "scalar A: 1.744" in result.output
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["classification"]["a_sign"] == "positive"
 
     def test_classify_command(self, w_file):
-        result = CliRunner().invoke(main, ["classify", w_file])
+        result = run_cli(["classify", w_file])
         assert result.exit_code == 0
         assert "A+" in result.output
 
@@ -514,15 +546,14 @@ class TestCli:
         voigt = [[4.0, 2, 2, 0, 0, 0], [2, 4.0, 2, 0, 0, 0], [2, 2, 4.0, 0, 0, 0],
                  [0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0, 1.0, 0], [0, 0, 0, 0, 0, 1.0]]
         path = write_material(tmp_path, material_doc(voigt=voigt))
-        result = CliRunner().invoke(
-            main, ["energy", path, "--strain", "1,1,1,0,0,0"])
+        result = run_cli(["energy", path, "--strain", "1,1,1,0,0,0"])
         assert result.exit_code == 0, result.output
         assert "total: 12" in result.output
         assert "cauchy 10" in result.output
 
     def test_energy_bad_strain_exits_2(self, tmp_path):
         path = write_material(tmp_path, material_doc())
-        result = CliRunner().invoke(main, ["energy", path, "--strain", "1,2,3"])
+        result = run_cli(["energy", path, "--strain", "1,2,3"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -531,20 +562,41 @@ class TestCli:
         out = tmp_path / "energy.json"
         args = (["--json", str(out)] if with_json else []) + [
             "energy", w_file, "--strain", f"{bad},0,0,0,0,0"]
-        result = CliRunner().invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 2, result.output
         assert "must be finite" in result.output
         assert not out.exists()
 
+    def test_not_a_number_exits_2(self, w_file):
+        for args in (["energy", w_file, "--strain", "1,x,0,0,0,0"],
+                     ["acoustics", w_file, "--n", "1,y,0", "--density", "19.25"]):
+            result = run_cli(args)
+            assert result.exit_code == 2, result.output
+            assert "not a number" in result.output
+
+    def test_unwritable_outputs_exit_3(self, tmp_path, w_file):
+        missing = tmp_path / "missing"
+        result = run_cli(["--json", str(missing / "r.json"), "classify", w_file])
+        assert result.exit_code == 3, result.output
+        assert "cannot write" in result.output
+        result = run_cli(["acoustics", w_file, "--density", "19.25", "--scan", "150",
+                          "--csv", str(missing / "scan.csv")])
+        assert result.exit_code == 3, result.output
+        assert "cannot write" in result.output
+
+    def test_acoustics_with_nothing_to_do_exits_2(self, w_file):
+        result = run_cli(["acoustics", w_file, "--density", "19.25"])
+        assert result.exit_code == 2, result.output
+        assert "nothing to do" in result.output
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
     def test_tol_must_be_finite(self, w_file, bad):
-        result = CliRunner().invoke(main, ["--tol", bad, "classify", w_file])
+        result = run_cli(["--tol", bad, "classify", w_file])
         assert result.exit_code == 2
         assert "--tol must be finite and nonnegative" in result.output
 
     def test_acoustics_single_direction(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--n", "0,0,1", "--density", "19.25"])
+        result = run_cli(["acoustics", w_file, "--n", "0,0,1", "--density", "19.25"])
         assert result.exit_code == 0, result.output
         v_l = math.sqrt(522.4 / 19.25)
         v_s = math.sqrt(160.8 / 19.25)
@@ -552,30 +604,26 @@ class TestCli:
         assert f"{v_s:.6f}" in result.output
 
     def test_acoustics_requires_density(self, w_file):
-        result = CliRunner().invoke(main, ["acoustics", w_file, "--n", "0,0,1"])
+        result = run_cli(["acoustics", w_file, "--n", "0,0,1"])
         assert result.exit_code == 2
         assert "density" in result.output
 
     def test_acoustics_negative_density_exits_2(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--n", "0,0,1", "--density", "-2"])
+        result = run_cli(["acoustics", w_file, "--n", "0,0,1", "--density", "-2"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_acoustics_non_finite_density_exits_2(self, w_file, rho):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--n", "0,0,1", "--density", rho])
+        result = run_cli(["acoustics", w_file, "--n", "0,0,1", "--density", rho])
         assert result.exit_code == 2
         assert "finite and positive" in result.output
 
     def test_acoustics_non_finite_direction_exits_2(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--n", "nan,0,1", "--density", "19.25"])
+        result = run_cli(["acoustics", w_file, "--n", "nan,0,1", "--density", "19.25"])
         assert result.exit_code == 2
 
     def test_acoustics_zero_direction_exits_2(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--n", "0,0,0", "--density", "19.25"])
+        result = run_cli(["acoustics", w_file, "--n", "0,0,0", "--density", "19.25"])
         assert result.exit_code == 2
         assert "--n must be a nonzero finite vector" in result.output
 
@@ -589,9 +637,8 @@ class TestCli:
         out = tmp_path / "report.json"
         outputs = []
         for n in (spec, same_as):
-            result = CliRunner().invoke(
-                main, ["--json", str(out), "acoustics", w_file, "--n", n,
-                       "--density", "19.25"])
+            result = run_cli(["--json", str(out), "acoustics", w_file, "--n", n,
+                              "--density", "19.25"])
             assert result.exit_code == 0, result.output
             outputs.append((result.output, out.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -599,9 +646,8 @@ class TestCli:
     def test_acoustics_direction_is_v_over_its_norm(self, tmp_path, w_file):
         # an ordinary vector is not rescaled first, which would change last bits
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["--json", str(out), "acoustics", w_file, "--n", "0.3,-0.2,0.9",
-                   "--density", "19.25"])
+        result = run_cli(["--json", str(out), "acoustics", w_file, "--n", "0.3,-0.2,0.9",
+                          "--density", "19.25"])
         assert result.exit_code == 0, result.output
         v = np.array([0.3, -0.2, 0.9])
         n = json.loads(out.read_text())["acoustics"]["directions"][0]["n"]
@@ -613,9 +659,8 @@ class TestCli:
         path = write_material(
             tmp_path, material_doc(voigt=voigt, density={"value": 1.0,
                                                          "unit": "g/cm^3"}))
-        result = CliRunner().invoke(
-            main, ["acoustics", path, "--n", "0,0,1", "--n", "0.6,0,0.8",
-                   "--n", "1,1,1"])
+        result = run_cli(["acoustics", path, "--n", "0,0,1", "--n", "0.6,0,0.8",
+                          "--n", "1,1,1"])
         assert result.exit_code == 0, result.output
         lines = [l for l in result.output.splitlines() if l.startswith("n = ")]
         velocities = {l.split("v = ")[1] for l in lines}
@@ -624,9 +669,8 @@ class TestCli:
 
     def test_acoustics_scan_csv(self, tmp_path, w_file):
         csv_path = tmp_path / "scan.csv"
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--scan", "200", "--density", "19.25",
-                   "--csv", str(csv_path)])
+        result = run_cli(["acoustics", w_file, "--scan", "200", "--density", "19.25",
+                          "--csv", str(csv_path)])
         assert result.exit_code == 0, result.output
         lines = csv_path.read_text(encoding="utf-8").split("\n")
         assert lines[0] == "nx,ny,nz,v1,v2,v3,purity_L,degenerate_flag"
@@ -639,9 +683,8 @@ class TestCli:
         assert "200 directions, 0 non-causal" in result.output
 
     def test_acoustics_pure_modes_cubic(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--scan", "1500", "--density", "19.25",
-                   "--pure-modes"])
+        result = run_cli(["acoustics", w_file, "--scan", "1500", "--density", "19.25",
+                          "--pure-modes"])
         assert result.exit_code == 0, result.output
         assert "pure longitudinal directions: 13" in result.output
         assert "(+1.000000, +0.000000, +0.000000)" in result.output
@@ -653,9 +696,8 @@ class TestCli:
         voigt = (0.5 * (b + b.T) + np.diag([0.3] * 3 + [0.5] * 3)) * 100
         path = write_material(tmp_path, material_doc(voigt=voigt.tolist()))
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["--json", str(out), "acoustics", path, "--density", "3",
-                   "--scan", "1000", "--pure-modes"])
+        result = run_cli(["--json", str(out), "acoustics", path, "--density", "3",
+                          "--scan", "1000", "--pure-modes"])
         assert result.exit_code == 0, result.output
         hits = json.loads(out.read_text(encoding="utf-8"))[
             "acoustics"]["pure_longitudinal"]["hits"]
@@ -669,9 +711,8 @@ class TestCli:
         blocks = []
         for scan in (["--scan", "200"], []):
             out = tmp_path / "report.json"
-            result = CliRunner().invoke(
-                main, ["--json", str(out), "acoustics", w_file, "--density", "19.25",
-                       *scan, "--pure-modes"])
+            result = run_cli(["--json", str(out), "acoustics", w_file,
+                              "--density", "19.25", *scan, "--pure-modes"])
             assert result.exit_code == 0, result.output
             assert "pure longitudinal directions: 13 (4 max, 3 min, 6 saddle, " \
                    "0 family; certified)" in result.output
@@ -693,8 +734,7 @@ class TestCli:
         path = write_material(
             tmp_path, material_doc(voigt=voigt, density={"value": 1.0,
                                                          "unit": "g/cm^3"}))
-        result = CliRunner().invoke(
-            main, ["acoustics", path, "--scan", "300", "--pure-modes"])
+        result = run_cli(["acoustics", path, "--scan", "300", "--pure-modes"])
         assert result.exit_code == 0, result.output
         assert "all directions pure" in result.output
 
@@ -705,8 +745,8 @@ class TestCli:
                  [0, 0, 0, 0, 100.0, 0], [0, 0, 0, 0, 0, 130.0]]
         path = write_material(tmp_path, material_doc(voigt=voigt))
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["--json", str(out), "acoustics", path, "--density", "4", "--pure-modes"])
+        result = run_cli(["--json", str(out), "acoustics", path, "--density", "4",
+                          "--pure-modes"])
         assert result.exit_code == 0, result.output
         assert "pure longitudinal directions: 3 (1 max, 0 min, 0 saddle, " \
                "2 family; certified)" in result.output
@@ -716,20 +756,20 @@ class TestCli:
         assert [h["kind"] for h in block["hits"]] == ["max", "family", "family"]
 
     def test_missing_file_exits_3(self):
-        result = CliRunner().invoke(main, ["decompose", "/nonexistent/m.json"])
+        result = run_cli(["decompose", "/nonexistent/m.json"])
         assert result.exit_code == 3
 
     def test_malformed_json_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
-        result = CliRunner().invoke(main, ["decompose", str(path)])
+        result = run_cli(["decompose", str(path)])
         assert result.exit_code == 3
 
     def test_validation_failure_exits_2(self, tmp_path):
         voigt = np.diag([3.0] * 3 + [1.0] * 3)
         voigt[0, 1] = 1.0
         path = write_material(tmp_path, material_doc(voigt=voigt.tolist()))
-        result = CliRunner().invoke(main, ["decompose", path])
+        result = run_cli(["decompose", path])
         assert result.exit_code == 2
 
     def test_tol_flag_controls_system_warnings(self, tmp_path):
@@ -743,38 +783,34 @@ class TestCli:
         path = write_material(
             tmp_path, material_doc(voigt=voigt.tolist(),
                                    crystal_system="hexagonal"))
-        lenient = CliRunner().invoke(main, ["decompose", path])
+        lenient = run_cli(["decompose", path])
         assert lenient.exit_code == 0
         assert "C66" not in lenient.output
-        tight = CliRunner().invoke(main, ["--tol", "1e-9", "decompose", path])
+        tight = run_cli(["--tol", "1e-9", "decompose", path])
         assert tight.exit_code == 0
         assert "C66" in tight.output
 
     def test_strict_mode_rejects_unknown_fields(self, tmp_path):
         path = write_material(tmp_path, material_doc(comment="x"))
-        lenient = CliRunner().invoke(main, ["decompose", path])
+        lenient = run_cli(["decompose", path])
         assert lenient.exit_code == 0
-        strict = CliRunner().invoke(main, ["--strict", "decompose", path])
+        strict = run_cli(["--strict", "decompose", path])
         assert strict.exit_code == 2
 
     def test_scan_too_small_rejected(self, w_file):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--scan", "50", "--density", "19.25"])
+        result = run_cli(["acoustics", w_file, "--scan", "50", "--density", "19.25"])
         assert result.exit_code == 2
 
     def test_csv_requires_scan(self, w_file, tmp_path):
-        result = CliRunner().invoke(
-            main, ["acoustics", w_file, "--density", "19.25", "--n", "0,0,1",
-                   "--csv", str(tmp_path / "x.csv")])
+        result = run_cli(["acoustics", w_file, "--density", "19.25", "--n", "0,0,1",
+                          "--csv", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
     def test_csv_bytes_deterministic(self, tmp_path, w_file):
-        runner = CliRunner()
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:
-            result = runner.invoke(
-                main, ["acoustics", w_file, "--scan", "150",
-                       "--density", "19.25", "--csv", str(p)])
+            result = run_cli(["acoustics", w_file, "--scan", "150", "--density", "19.25",
+                              "--csv", str(p)])
             assert result.exit_code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -784,9 +820,8 @@ class TestCli:
         out = tmp_path / "report.json"
         csv_path = tmp_path / "scan.csv"
         path = write_material(tmp_path, material_doc(voigt=voigt))
-        result = CliRunner().invoke(
-            main, ["--json", str(out), "acoustics", path, "--density", "1.0",
-                   "--n", "0,0,1", "--scan", "150", "--csv", str(csv_path)])
+        result = run_cli(["--json", str(out), "acoustics", path, "--density", "1.0",
+                          "--n", "0,0,1", "--scan", "150", "--csv", str(csv_path)])
         assert result.exit_code == 0, result.output
         assert "[non-causal]" in result.output
         count = int(result.output.split(" directions, ")[1].split(" non-causal")[0])

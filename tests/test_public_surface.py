@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,13 @@ def test_unused_import_guard_flags_a_leftover():
     source = "from .tensor_core import (\n    EIGEN_PAIRS,\n    eig_sym3,\n)\neig_sym3(1)\n"
     assert _unused_imports(source) == ["EIGEN_PAIRS (line 2)"]
     assert _unused_imports(source.replace("EIGEN_PAIRS,", "EIGEN_PAIRS,  # noqa: F401")) == []
+
+
+def test_runtime_dependencies_are_numpy_and_click():
+    # scipy serves only the benchmark's tracer and two tests: the test extra
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(cauchykit.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    runtime = sorted(re.match(r"[\w.-]+", spec)[0] for spec in project["dependencies"])
+    assert runtime == ["click", "numpy"]
+    assert any(spec.startswith("scipy") for spec in project["optional-dependencies"]["test"])

@@ -20,6 +20,7 @@ from cauchykit.tensor_core import cubic_stiffness
 
 SRC = str(Path(cauchykit.__file__).resolve().parent.parent)
 W_JSON = str(Path(cauchykit.__file__).resolve().parent / "data" / "w.json")
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def run_python(code: str) -> str:
@@ -50,9 +51,9 @@ def test_every_command_runs_with_scipy_blocked():
     out = run_python(
         "import json, sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
-        "from click.testing import CliRunner\n"
-        "from cauchykit.cli import main\n"
-        f"results = [CliRunner().invoke(main, args) for args in {commands!r}]\n"
+        f"sys.path.insert(0, {TESTS!r})\n"
+        "from conftest import run_cli\n"
+        f"results = [run_cli(args) for args in {commands!r}]\n"
         "print(json.dumps([[r.exit_code, r.output] for r in results]))\n")
     results = json.loads(out)
     for args, (code, output) in zip(commands, results):

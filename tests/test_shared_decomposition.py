@@ -10,10 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from cauchykit import decomp
-from cauchykit.cli import main
 from cauchykit.constitutive import stability_bounds
 from cauchykit.decomp import decompose, sa_split, so3_refine
 from cauchykit.materials import bundled_material
@@ -24,7 +22,7 @@ from cauchykit.report import (
 )
 from cauchykit.tensor_core import full_to_voigt, voigt_to_full
 
-from conftest import random_spd_voigt, random_stiffness, random_symmetric3
+from conftest import random_spd_voigt, random_stiffness, random_symmetric3, run_cli
 
 
 @pytest.fixture
@@ -57,7 +55,7 @@ class TestOneSplitPerMaterial:
     ])
     def test_each_cli_command_splits_once(self, split_calls, w_file, tmp_path, args):
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(main, ["--json", str(out), args[0], w_file, *args[1:]])
+        result = run_cli(["--json", str(out), args[0], w_file, *args[1:]])
         assert result.exit_code == 0, result.output
         assert len(split_calls) == 1
 
