@@ -48,6 +48,7 @@ from .constitutive import k_shear
 from .decomp import IrreducibleParts, harmonic_split, sa_split
 from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
+    EIGEN_PAIRS,
     IDENTITY3,
     degenerate_mask,
     degenerate_pairs,
@@ -96,6 +97,7 @@ _FAMILY_TOL = 1e-8  # relative to ||s||: a hit this flat lies on a family
 _TI_TOL = 1e-12
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1 and i - 1 (mod 3)
 _MERGE_ENTRIES = 1 << 12  # bound on the point pairs one merge block compares
+_KINDS = ("max", "min", "saddle", "family")  # a hit's kind by its code
 
 # Nothing in the library calls scipy.  perfbench/tracing.py still reads
 # ``acoustics.minimize`` and ``acoustics.cKDTree``, so those names resolve here,
@@ -180,7 +182,8 @@ class PureModeScan(NamedTuple):
     @property
     def morse(self) -> dict[str, int]:
         """Hit counts by ``kind``: ``max``, ``min``, ``saddle``, ``family``."""
-        return {k: sum(h.kind == k for h in self.hits) for k in ("max", "min", "saddle", "family")}
+        kinds = [h.kind for h in self.hits]
+        return {k: kinds.count(k) for k in _KINDS}
 
     @property
     def certified(self) -> bool | None:
@@ -289,16 +292,19 @@ def critical_directions(parts: IrreducibleParts) -> CriticalDirections:
     """Directions where the squared-velocity sum is stationary on the sphere.
 
     The stationarity condition is the eigenvalue problem of ``L = 2P + Q``.
+    Where ``L`` is fully degenerate its eigenvalues are rounding noise, and
+    every pair of them is listed as degenerate.
     """
     l_matrix = 2.0 * parts.dev_p + parts.dev_q
     values, vectors = eig_sym3(l_matrix)
     scale = frobenius_norm2(l_matrix)
-    invariant_scale = max(abs(parts.scalar_s), abs(parts.scalar_a), 1e-300)
+    fully = bool(scale <= 1e-12 * max(abs(parts.scalar_s), abs(parts.scalar_a), 1e-300))
     return CriticalDirections(
         eigenvalues=values,
         directions=vectors,
-        degenerate_pairs=degenerate_pairs(degenerate_mask(values, scale)),
-        fully_degenerate=bool(scale <= 1e-12 * invariant_scale),
+        degenerate_pairs=(EIGEN_PAIRS if fully
+                          else degenerate_pairs(degenerate_mask(values, scale))),
+        fully_degenerate=fully,
     )
 
 
@@ -331,8 +337,9 @@ def _purity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     (..., 3), 0 where ``m = 0``; scale-free, so the density may be left out."""
     sn = np.einsum("...il,...l->...i", m, n)
     residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
-    scale = np.linalg.norm(m, axis=(-2, -1))
-    return np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
+    # the sums np.linalg.norm takes, without its dispatch
+    scale = np.sqrt(np.add.reduce(m * m, (-2, -1)))
+    return np.sqrt(np.add.reduce(residual * residual, -1)) / np.where(scale == 0.0, 1.0, scale)
 
 
 def _rayleigh(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -483,7 +490,7 @@ def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: f
     comes from the deviator ``D = b (ee - I/3)`` of ``P``, or of ``R_ijkl
     R_mjkl`` where ``||P|| <= _TI_TOL ||s||``, in closed form, as a LAPACK
     solver would add its code pages to peak memory: ``|b| = sqrt(3/2) ||D||``
-    with the sign of ``tr D^3``, ``e`` the row of ``D + (b/3) I = b ee`` with
+    with the sign of ``tr (D/||D||)^3``, ``e`` the row of ``D + (b/3) I = b ee`` with
     the largest diagonal entry."""
     tol, deviator, size = _TI_TOL * scale, dev_p, frobenius_norm2(dev_p)
     if size <= tol:
@@ -492,7 +499,8 @@ def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: f
         size = frobenius_norm2(deviator)
         if size <= tol * scale:
             return None
-    b = math.copysign(math.sqrt(1.5) * size, np.vdot(deviator @ deviator, deviator))
+    unit = deviator / size  # its cube stays in range at every unit scale
+    b = math.copysign(math.sqrt(1.5) * size, np.vdot(unit @ unit, unit))
     rank_one = deviator + (b / 3.0) * IDENTITY3
     axis = rank_one[np.abs(np.diag(rank_one)).argmax()]
     axis = axis / math.sqrt(axis @ axis)
@@ -530,7 +538,7 @@ def _local_model(s: np.ndarray, n: np.ndarray):
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise ``np.cross`` of ``(N, 3)`` arrays, with its arithmetic and
     without its broadcasting set-up."""
-    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+    return a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
 
 
 def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,15 +586,13 @@ def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray) -> PureModeScan
     kept = kept[np.argsort(residual[kept], kind="stable")]
     values = _eig2(hess[kept])[0]
     family = np.abs(values).min(axis=1) <= _FAMILY_TOL * scale
-    kinds = np.where(family, "family", np.where(
-        values[:, 0] < 0, "max", np.where(values[:, 1] > 0, "min", "saddle")))
+    kinds = np.where(family, 3, np.where(values[:, 0] < 0, 0, np.where(values[:, 1] > 0, 1, 2)))
     winners = _merge(n[kept], family)
     winners = winners[np.argsort(kept[winners])]  # seed order
-    index, kinds = kept[winners], kinds[winners]
-    hits = tuple(
-        PureModeHit(direction, float(residual[i]), float(velocity), int(i), str(kind))
-        for direction, i, velocity, kind in zip(
-            _canonical_direction(n[index]), index, _velocity(f[index] / rho), kinds))
+    index = kept[winners]
+    hits = tuple(map(PureModeHit, _canonical_direction(n[index]), residual[index].tolist(),
+                     _velocity(f[index] / rho).tolist(), index.tolist(),
+                     [_KINDS[k] for k in kinds[winners].tolist()]))
     return PureModeScan(hits=hits, all_directions_pure=False, seeds=len(seeds))
 
 
@@ -596,7 +602,14 @@ def _merge(points: np.ndarray, family: np.ndarray) -> np.ndarray:
     ``points`` are sorted by residual; the first point still alive claims
     every point within its merge radius, antipodes identified.  The gaps
     among the alive points are computed for a block of the next of them at
-    a time, at most ``_MERGE_ENTRIES`` pairs: all at once for up to 64."""
+    a time, at most ``_MERGE_ENTRIES`` pairs: all at once for up to 64.
+    Up to 64 points that are all more than ``sqrt(2) _FAMILY_MERGE`` apart,
+    antipodes too, all survive in order, as the Gram matrix shows at once."""
+    if len(points) ** 2 <= _MERGE_ENTRIES:
+        gram = np.abs(points @ points.T)
+        gram.flat[::len(points) + 1] = 0.0
+        if gram.max(initial=0.0) < 1.0 - _FAMILY_MERGE * _FAMILY_MERGE:
+            return np.arange(len(points))
     alive, winners = np.ones(len(points), dtype=bool), []
     while alive.any():
         live = np.flatnonzero(alive)

@@ -99,11 +99,10 @@ def real_eigenvectors(s: np.ndarray) -> np.ndarray | None:
     of those at infinity, or when ``P(sigma)`` is (nearly) singular."""
     r, r15, q = _tables()
     q = (q @ (r15 @ s.reshape(81))).reshape(5, 7, 7)
-    companion = np.zeros((28, 28))
-    companion[:21, 7:] = np.eye(21)
+    companion = np.eye(28, k=7)
     try:
-        companion[21:] = -np.linalg.solve(q[4], np.concatenate(q[:4], axis=1))
-        if not np.abs(companion).max() <= _COMPANION_BOUND:
+        companion[21:] = -np.linalg.solve(q[4], q[:4].transpose(1, 0, 2).reshape(7, 28))
+        if not np.abs(companion[21:]).max() <= _COMPANION_BOUND:
             return None
         t, z = np.linalg.eig(companion)
     except np.linalg.LinAlgError:
@@ -117,8 +116,11 @@ def real_eigenvectors(s: np.ndarray) -> np.ndarray | None:
     v = blocks[np.abs(blocks).sum(axis=1).argmax(axis=0), :, np.arange(_ROOTS)]
     y = (np.einsum("ri,ri->r", v[:, 1:], v[:, :-1].conj())
          / np.einsum("ri,ri->r", v[:, :-1], v[:, :-1].conj()))
-    chart = np.stack([_SHIFT + 1.0 / t, y, np.ones(_ROOTS)], axis=1)
-    imag = np.linalg.norm(chart.imag, axis=1) / np.linalg.norm(chart, axis=1)
+    chart = np.empty((_ROOTS, 3), dtype=complex)
+    chart[:, 0], chart[:, 1], chart[:, 2] = _SHIFT + 1.0 / t, y, 1.0
+    # the sums np.linalg.norm takes of the imaginary parts and of the rows
+    imag = (np.sqrt(np.add.reduce(chart.imag * chart.imag, 1))
+            / np.sqrt(np.add.reduce((chart.conj() * chart).real, 1)))
     if ((imag > _REAL_TOL) & (imag < _COMPLEX_TOL)).any():
         return None
     n = chart[imag <= _REAL_TOL].real @ r  # back from the chart: r.T n'

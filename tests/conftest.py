@@ -3,13 +3,13 @@
 The loop oracles here deliberately avoid the library's einsum-based code
 paths: they loop over explicit index ranges so that agreement with the library
 is a genuine cross-check, not a tautology.  The pure-mode oracles keep the
-search's earlier per-hit merge and canonical direction, and build the tables
-of its algebraic seeds one entry at a time.  The formula oracles below them are
-independent forms the library does not use: the symmetry-orbit projection, the
-Voigt-component formula for ``Q``, the general family of Cauchy relations and
-the inner-pair split.  The rotation helpers are fixtures; ``rotate2`` and
-``rotate4`` apply any invertible matrix, not only a rotation.  ``run_cli`` runs
-the command line in this process.
+search's earlier per-hit merge, eigen residual and canonical direction, and
+build the tables of its algebraic seeds one entry at a time.  The formula
+oracles below them are independent forms the library does not use: the
+symmetry-orbit projection, the Voigt-component formula for ``Q``, the general
+family of Cauchy relations and the inner-pair split.  The rotation helpers
+are fixtures; ``rotate2`` and ``rotate4`` apply any invertible matrix, not only
+a rotation.  ``run_cli`` runs the command line in this process.
 """
 
 import contextlib
@@ -176,13 +176,41 @@ def canonical_direction_oracle(n):
     return n + 0.0
 
 
-def newton_search_oracle(s, rho, count, tol):
-    """The pure-mode Newton solve from ``count`` golden-angle seeds with its
-    merge as a loop over winners (two ``np.linalg.norm`` calls each) and one
-    canonical direction per hit: the form ``acoustics._newton_search`` had
-    before it merged and canonicalized in batches."""
+def purity_oracle(m, n):
+    """The eigen residual ``||m.n - (n.m.n) n|| / ||m||`` of the unit rows ``n``
+    with ``np.linalg.norm``, 0 where ``m = 0``: the form ``acoustics._purity``
+    had before it took those sums itself."""
+    sn = np.einsum("...il,...l->...i", m, n)
+    residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(residual, axis=-1) / np.where(scale == 0.0, 1.0, scale)
+
+
+def merge_oracle(points, family):
+    """The winners of the pure-mode merge as a loop over winners, two
+    ``np.linalg.norm`` calls each: the lowest residual left (``points`` are
+    sorted by residual) claims every point within its merge radius,
+    antipodes identified."""
+    alive, winners = np.ones(len(points), dtype=bool), []
+    while alive.any():
+        k = int(alive.argmax())
+        winners.append(k)
+        gap = np.minimum(np.linalg.norm(points - points[k], axis=1),
+                         np.linalg.norm(points + points[k], axis=1))
+        alive &= gap > np.where(family & family[k], acoustics._FAMILY_MERGE,
+                                acoustics._POINT_MERGE)
+    return winners
+
+
+def newton_search_oracle(s, rho, seeds, tol):
+    """The pure-mode Newton solve from the unit rows ``seeds`` (N, 3), or from
+    that many golden-angle seeds when ``seeds`` is a count, with
+    :func:`merge_oracle`, string kinds and one canonical direction per hit:
+    the form ``acoustics._newton_search`` had before it merged and
+    canonicalized in batches."""
     scale = frobenius_norm4(s)
-    n = acoustics.fibonacci_sphere(count)
+    n = acoustics.fibonacci_sphere(seeds) if np.ndim(seeds) == 0 else np.array(seeds)
+    count = len(n)
     converged, last_new = np.zeros(count, dtype=bool), -1
     for it in range(acoustics._NEWTON_ITERATIONS):
         _f, _sc, frame, grad, hess = acoustics._local_model(s, n)
@@ -205,21 +233,14 @@ def newton_search_oracle(s, rho, count, tol):
             break
 
     f, sc, _frame, _grad, hess = acoustics._local_model(s, n)
-    residual = acoustics._purity(sc, n)
+    residual = purity_oracle(sc, n)
     kept = np.flatnonzero((length <= acoustics._NEWTON_STEP_TOL) & (residual <= tol))
     kept = kept[np.argsort(residual[kept], kind="stable")]
     values = acoustics._eig2(hess[kept])[0]
     family = np.abs(values).min(axis=1) <= acoustics._FAMILY_TOL * scale
     kinds = np.where(family, "family", np.where(
         values[:, 0] < 0, "max", np.where(values[:, 1] > 0, "min", "saddle")))
-    points, alive, winners = n[kept], np.ones(len(kept), dtype=bool), []
-    while alive.any():  # the lowest residual left claims the points it merges
-        k = int(alive.argmax())
-        winners.append(k)
-        gap = np.minimum(np.linalg.norm(points - points[k], axis=1),
-                         np.linalg.norm(points + points[k], axis=1))
-        alive &= gap > np.where(family & family[k], acoustics._FAMILY_MERGE,
-                                acoustics._POINT_MERGE)
+    winners = merge_oracle(n[kept], family)
     hits = tuple(
         acoustics.PureModeHit(canonical_direction_oracle(n[i]), float(residual[i]),
                               math.sqrt(f[i] / rho) if f[i] > 0 else math.nan, int(i), str(kind))

@@ -28,7 +28,7 @@ from cauchykit.decomp import (
     harmonic_split,
     sa_split,
 )
-from cauchykit.materials import material_from_dict
+from cauchykit.materials import bundled_material, list_bundled, material_from_dict
 from cauchykit.report import acoustics_report, scan_rows, write_scan_csv
 from cauchykit.tensor_eigen import real_eigenvectors
 from cauchykit.tensor_core import (
@@ -45,7 +45,9 @@ from conftest import (
     chart_tables_oracle,
     contract_nn_oracle,
     hexagonal_voigt,
+    merge_oracle,
     newton_search_oracle,
+    purity_oracle,
     random_spd_voigt,
     random_stiffness,
     random_symmetric3,
@@ -337,9 +339,21 @@ class TestCriticalDirections:
         del axis_col
 
     def test_cubic_fully_degenerate(self):
-        crit = critical_directions(decompose(W))
-        assert crit.fully_degenerate
-        assert np.abs(crit.eigenvalues).max() <= 1e-12
+        # every bundled crystal and an isotropic solid at 25 unit scales; the
+        # eigenvalues of L = 0 are rounding noise, so the pair list cannot be
+        # read off them (it was, and 22 of these 275 inputs listed fewer pairs)
+        rng = np.random.default_rng(1)
+        mu = rng.uniform(20.0, 150.0)
+        lam = mu * (rng.uniform(0.3, 0.8) if rng.random() < 0.5 else rng.uniform(1.3, 3.0))
+        tensors = [bundled_material(key).stiffness_gpa() for key in list_bundled()]
+        assert np.abs(critical_directions(decompose(W)).eigenvalues).max() <= 1e-12
+        for c in [W] + tensors + [isotropic_stiffness(lam, mu)]:
+            for k in range(-12, 13):
+                parts = decompose(c * 10.0 ** k)
+                crit = critical_directions(parts)
+                assert crit.fully_degenerate
+                assert crit.degenerate_pairs == ((0, 1), (0, 2), (1, 2))
+                assert np.abs(crit.eigenvalues).max() <= 1e-12 * abs(parts.scalar_s)
 
     def test_extrema_match_sphere_scan(self, rng):
         c = random_stiffness(rng)
@@ -950,6 +964,17 @@ class TestClosedFormShortCuts:
         np.testing.assert_allclose(coefficients, three_point_fit_oracle(s, axis), rtol=0,
                                    atol=1e-14 * frobenius_norm4(s))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_closed_form_at_extreme_unit_scales(self, scale):
+        # the sign of tr D^3 is read off D / ||D||: the cube of the deviator
+        # itself leaves the double range near 1e+-103
+        c = voigt_to_full(hexagonal_voigt(400.0, 140.0, 120.0, 350.0, 100.0))
+        scan, unit = find_pure_longitudinal(c * scale, 3.0), find_pure_longitudinal(c, 3.0)
+        assert scan.axis is not None and scan.seeds == 0 and scan.certified is True
+        assert len(scan.hits) == len(unit.hits)
+        for hit, want in zip(scan.hits, unit.hits):
+            assert np.abs(hit.direction - want.direction).max() <= 1e-12
+
     @pytest.mark.parametrize("part", ["P", "R"])
     def test_each_residual_is_checked(self, part):
         # a 1e-10 relative departure of P alone (one that keeps the axis read
@@ -1033,6 +1058,69 @@ class TestBatchedMerge:
         assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
         if case == "hexagonal":
             assert scan.morse["family"] > 50
+
+    @pytest.mark.parametrize("case", ["W", "near-hexagonal"]
+                             + [f"triclinic-{k}" for k in range(20)])
+    def test_small_set_polish_equals_the_oracle(self, case):
+        # Newton from the real eigenvectors of s: at most 13 points, so the
+        # merge may answer from the Gram matrix alone
+        rho = 1.0
+        if case == "W":
+            c = W
+        elif case == "near-hexagonal":
+            c, rho = near_hexagonal(1e-3), 4.0
+        else:
+            rng = np.random.default_rng(26)
+            for _ in range(int(case.split("-")[1]) + 1):
+                c = voigt_to_full(random_spd_voigt(rng))
+        s = sa_split(c).s
+        roots = real_eigenvectors(s)
+        scan = acoustics._newton_search(s, rho, roots)
+        oracle = newton_search_oracle(s, rho, roots, acoustics.PURITY_TOL)
+        assert scan.seeds == oracle.seeds == len(roots)
+        assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
+        assert [list(map(type, h)) for h in scan.hits] == [list(map(type, h)) for h in oracle.hits]
+
+    def test_merge_at_its_radii(self, rng):
+        # pairs planted just inside and outside each merge radius, at the
+        # Gram bound sqrt(2) _FAMILY_MERGE and as antipodes, in sets up to the
+        # 64 points one block compares at once and one set past that
+        point, family_merge = acoustics._POINT_MERGE, acoustics._FAMILY_MERGE
+        radii = [0.0, 0.5 * point, 2.0 * point, 0.5 * family_merge, 0.9 * family_merge,
+                 2.0 * family_merge] + [
+            math.sqrt(2.0) * family_merge * (1.0 + d) for d in (-1e-6, 0.0, 1e-6)]
+        far = []
+        for count in list(range(2, 65)) * 2 + [65]:
+            points = rng.normal(size=(count, 3))
+            points /= np.linalg.norm(points, axis=1)[:, None]
+            family = rng.random(count) < 0.5
+            for i in range(1, count):
+                if rng.random() < 0.7:
+                    continue
+                j = int(rng.integers(i))
+                tangent = np.cross(points[j], random_unit(rng))
+                tangent /= np.linalg.norm(tangent)
+                angle = 2.0 * math.asin(0.5 * radii[rng.integers(len(radii))])
+                points[i] = math.cos(angle) * points[j] + math.sin(angle) * tangent
+                points[i] *= rng.choice([-1.0, 1.0])
+                family[i] = family[j] = family[i] or rng.random() < 0.5
+            gram = np.abs(points @ points.T) - np.eye(count)
+            far.append(bool(gram.max() < 1.0 - family_merge ** 2))
+            winners = acoustics._merge(points, family)
+            assert winners.dtype == np.arange(1).dtype
+            assert winners.tolist() == merge_oracle(points, family)
+        assert 0 < sum(far) < len(far)
+
+    @pytest.mark.parametrize("shape", [(), (13,), (2000,)])
+    def test_purity_equals_the_norm_form(self, rng, shape):
+        m = rng.normal(size=shape + (3, 3))
+        m = m + np.swapaxes(m, -1, -2)
+        n = rng.normal(size=shape + (3,))
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        for matrices in (m, np.zeros_like(m), np.where(rng.random(shape + (1, 1)) < 0.3, 0.0, m)):
+            got, want = acoustics._purity(matrices, n), purity_oracle(matrices, n)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_canonical_direction_rows(self, rng):
         r2, r3 = math.sqrt(0.5), math.sqrt(1.0 / 3.0)

@@ -40,6 +40,16 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_builds_no_chart_tables():
+    # every process that imports the CLI pays for a module-level array; the
+    # resultant's tables are built on the first pure-mode search instead
+    out = run_python(
+        "import cauchykit.cli\n"
+        "from cauchykit import tensor_eigen\n"
+        "print(tensor_eigen._tables.cache_info().currsize)\n")
+    assert out.strip() == "0"
+
+
 def test_every_command_runs_with_scipy_blocked():
     commands = [
         ["decompose", W_JSON],
