@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constitutive import k_shear
-from .decomp import IrreducibleParts, harmonic_split, sa_split
+from .decomp import IrreducibleParts, SAParts, harmonic_split, sa_split
 from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
     EIGEN_PAIRS,
@@ -83,6 +83,7 @@ PURITY_TOL = 1e-8  # relative eigen residual of a pure longitudinal direction
 _FAMILY_MERGE = 2.0 * math.sin(math.radians(0.25))  # chord of 0.5 degrees
 _POINT_MERGE = 1e-7  # chord; isolated hits closer than this are one point
 _NEWTON_SEEDS = 100
+_GRID_N = 20000  # the default cap on golden-angle seeds
 _NEWTON_ITERATIONS = 50
 # A seed still unconverged this long after the last new convergence is, in
 # practice, cycling between capped steps and would not converge by the cap;
@@ -235,17 +236,24 @@ def christoffel(c: np.ndarray, n, rho: float) -> ChristoffelBundle:
     ``n`` is one unit direction ``(3,)`` or an array of them ``(N, 3)``; every
     row must have unit norm within 1e-12.  ``rho`` must be finite and
     positive.  With stiffness in GPa and density in g/cm^3, eigenvalues come
-    out in (km/s)^2.
+    out in (km/s)^2.  A tensor that leaves the float range raises
+    ``ValueError``.
     """
-    rho = check_density(rho)
-    n = unit_vector(n)
-    parts = sa_split(c)
+    rho, n = check_density(rho), unit_vector(n)
+    return _christoffel(sa_split(c), n, rho)
+
+
+def _christoffel(split: SAParts, n: np.ndarray, rho: float) -> ChristoffelBundle:
+    """:func:`christoffel` on the split of ``c``, for checked ``n`` and ``rho``."""
     # one BLAS product contracts c[i,j,k,l] with n[j] n[k] for every direction
     nn = np.einsum("...j,...k->...jk", n, n)
-    cauchy = np.tensordot(nn, parts.s, axes=([-2, -1], [1, 2])) / rho
-    non_cauchy = np.tensordot(nn, parts.a, axes=([-2, -1], [1, 2])) / rho
+    cauchy = np.tensordot(nn, split.s, axes=([-2, -1], [1, 2])) / rho
+    non_cauchy = np.tensordot(nn, split.a, axes=([-2, -1], [1, 2])) / rho
+    gamma = cauchy + non_cauchy
+    if not np.isfinite(gamma).all():
+        raise ValueError(f"the Christoffel tensor at density {rho!r} leaves the float range")
     return ChristoffelBundle(
-        gamma=cauchy + non_cauchy,
+        gamma=gamma,
         cauchy=cauchy,
         non_cauchy=non_cauchy,
         direction=n,
@@ -335,8 +343,13 @@ def pure_longitudinal_residual(bundle: ChristoffelBundle) -> float:
 def _purity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Eigen residual ``||m.n - (n.m.n) n|| / ||m||`` of the unit rows ``n``
     (..., 3), 0 where ``m = 0``; scale-free, so the density may be left out."""
-    sn = np.einsum("...il,...l->...i", m, n)
-    residual = sn - np.einsum("...i,...i->...", n, sn)[..., None] * n
+    mn = np.einsum("...il,...l->...i", m, n)
+    return _eigen_residual(m, n, mn, np.einsum("...i,...i->...", n, mn))
+
+
+def _eigen_residual(m: np.ndarray, n: np.ndarray, mn: np.ndarray, nmn: np.ndarray) -> np.ndarray:
+    """:func:`_purity` of ``m`` at ``n`` from ``mn = m.n`` and ``nmn = n.m.n``."""
+    residual = mn - nmn[..., None] * n
     # the sums np.linalg.norm takes, without its dispatch
     scale = np.sqrt(np.add.reduce(m * m, (-2, -1)))
     return np.sqrt(np.add.reduce(residual * residual, -1)) / np.where(scale == 0.0, 1.0, scale)
@@ -388,7 +401,7 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
 def find_pure_longitudinal(
     c: np.ndarray,
     rho: float,
-    grid_n: int = 20000,
+    grid_n: int = _GRID_N,
 ) -> PureModeScan:
     """Find every pure longitudinal-wave direction: the critical points of
     ``f(n) = s:nnnn`` on the projective plane, ``s`` the Cauchy part of ``c``.
@@ -422,27 +435,32 @@ def find_pure_longitudinal(
     if grid_n < _NEWTON_SEEDS:
         raise ValueError("grid_n must be at least 100")
     rho = check_density(rho)
-    s = sa_split(c).s
-    scalar_s, dev_p, harm_r = harmonic_split(s)
-    if max(frobenius_norm2(dev_p), frobenius_norm4(harm_r)) <= PURITY_TOL * frobenius_norm4(s):
+    split = sa_split(c)
+    return _pure_longitudinal(split, rho, *harmonic_split(split.s), grid_n)
+
+
+def _pure_longitudinal(split: SAParts, rho: float, scalar_s: float, dev_p: np.ndarray,
+                       harm_r: np.ndarray, grid_n: int = _GRID_N) -> PureModeScan:
+    """:func:`find_pure_longitudinal` on the split of ``c`` and ``S, P, R`` of ``s``."""
+    if max(frobenius_norm2(dev_p), frobenius_norm4(harm_r)) <= PURITY_TOL * split.s_norm:
         return PureModeScan(hits=(), all_directions_pure=True, seeds=0)
-    scan = _transversely_isotropic(s, rho, scalar_s, dev_p, harm_r)
+    scan = _transversely_isotropic(split, rho, scalar_s, dev_p, harm_r)
     if scan is not None:
         return scan
-    roots = real_eigenvectors(s)
+    roots = real_eigenvectors(split.s)
     if roots is not None:
-        scan = _newton_search(s, rho, roots)
+        scan = _newton_search(split, rho, roots)
         if len(scan.hits) == len(roots) and scan.certified:
             return scan
-    scan = _newton_search(s, rho, fibonacci_sphere(_NEWTON_SEEDS))
+    scan = _newton_search(split, rho, fibonacci_sphere(_NEWTON_SEEDS))
     while scan.certified is False and scan.seeds < grid_n:
-        scan = _newton_search(s, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)))
+        scan = _newton_search(split, rho, fibonacci_sphere(min(2 * scan.seeds, grid_n)))
     return scan
 
 
-def _transversely_isotropic(s: np.ndarray, rho: float, scalar_s: float, dev_p: np.ndarray,
+def _transversely_isotropic(split: SAParts, rho: float, scalar_s: float, dev_p: np.ndarray,
                             harm_r: np.ndarray) -> PureModeScan | None:
-    """The pure directions of a transversely isotropic ``s``, given its ``S``,
+    """The pure directions of a transversely isotropic ``s = split.s``, given its ``S``,
     ``P`` and ``R``, in closed form (:func:`_ti_quartic`): the axis, a ``max``
     where ``beta + 2 gamma > 0`` and a ``min`` otherwise, one ``family`` point
     on the basal ring ``c = 0`` and, where ``0 < -beta / (2 gamma) < 1``, one
@@ -451,7 +469,7 @@ def _transversely_isotropic(s: np.ndarray, rho: float, scalar_s: float, dev_p: n
     ``_FAMILY_TOL ||s||``, the flatness of a Newton ``family`` hit
     (``-(beta + 2 gamma) / 2`` on the axis, ``beta / 2`` on the ring, ``-beta
     (1 - c^2)`` on the cone), or where a hit's residual exceeds ``PURITY_TOL``."""
-    scale = frobenius_norm4(s)
+    scale = split.s_norm
     form = _ti_quartic(scalar_s, dev_p, harm_r, scale)
     if form is None:
         return None
@@ -468,8 +486,8 @@ def _transversely_isotropic(s: np.ndarray, rho: float, scalar_s: float, dev_p: n
     if min(map(abs, curvature)) <= _FAMILY_TOL * scale:
         return None
     n = np.array(points)
-    f, sc = _local_model(s, n)[:2]
-    residual = _purity(sc, n)
+    f, sc, _frame, snnn, _hess = _local_model(split.s, n)
+    residual = _eigen_residual(sc, n, snnn, f)
     if residual.max() > PURITY_TOL:
         return None
     hits = tuple(
@@ -515,8 +533,9 @@ def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: f
 
 
 def _local_model(s: np.ndarray, n: np.ndarray):
-    """``f = s:nnnn``, ``s . nn``, a tangent frame ``(N, 3, 2)``, and the
-    tangent gradient and Hessian of ``f / 4`` at every row of ``n``."""
+    """``f = s:nnnn``, ``s . nn``, a tangent frame ``(N, 3, 2)``, ``s.nnn``
+    and the tangent Hessian of ``f / 4`` at every row of ``n``; the tangent
+    gradient of ``f / 4`` is ``s.nnn`` in that frame."""
     count = len(n)
     # the BLAS product np.tensordot(nn, s, axes=2) makes, without its set-up
     sc = np.dot((n[:, :, None] * n[:, None, :]).reshape(count, 9),
@@ -528,11 +547,10 @@ def _local_model(s: np.ndarray, n: np.ndarray):
     e1 /= np.sqrt(np.add.reduce(e1 * e1, 1))[:, None]
     frame[:, :, 0] = e1
     frame[:, :, 1] = _cross(n, e1)
-    grad = np.einsum("nia,ni->na", frame, snnn)
     hess = 3.0 * np.swapaxes(frame, 1, 2) @ sc @ frame
     hess[:, 0, 0] -= f
     hess[:, 1, 1] -= f
-    return f, sc, frame, grad, hess
+    return f, sc, frame, snnn, hess
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -555,13 +573,14 @@ def _eig2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray) -> PureModeScan:
-    """One batched Newton solve from the unit rows of ``seeds``."""
-    scale = frobenius_norm4(s)
+def _newton_search(split: SAParts, rho: float, seeds: np.ndarray) -> PureModeScan:
+    """One batched Newton solve on ``s = split.s`` from the unit rows of ``seeds``."""
+    s, scale = split.s, split.s_norm
     n = seeds
     converged, last_new = np.zeros(len(n), dtype=bool), -1
     for it in range(_NEWTON_ITERATIONS):
-        _f, _sc, frame, grad, hess = _local_model(s, n)
+        _f, _sc, frame, snnn, hess = _local_model(s, n)
+        grad = np.einsum("nia,ni->na", frame, snnn)
         values, vectors = _eig2(hess)
         inverse = np.divide(1.0, values, out=np.zeros_like(values),
                             where=np.abs(values) > _FLAT_TOL * scale)
@@ -580,8 +599,8 @@ def _newton_search(s: np.ndarray, rho: float, seeds: np.ndarray) -> PureModeScan
         elif it - last_new >= _NEWTON_PATIENCE:
             break
 
-    f, sc, _frame, _grad, hess = _local_model(s, n)
-    residual = _purity(sc, n)
+    f, sc, _frame, snnn, hess = _local_model(s, n)
+    residual = _eigen_residual(sc, n, snnn, f)
     kept = np.flatnonzero((length <= _NEWTON_STEP_TOL) & (residual <= PURITY_TOL))
     kept = kept[np.argsort(residual[kept], kind="stable")]
     values = _eig2(hess[kept])[0]

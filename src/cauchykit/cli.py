@@ -2,7 +2,8 @@
 
 Conventions: stiffness is converted to GPa and density is g/cm^3, so reported
 velocities are km/s.  Exit codes: 0 on success, 2 on validation failures
-(bad material data, bad flags), 3 on I/O or JSON parse failures.
+(bad material data, bad flags, a result that leaves the float range), 3 on
+I/O or JSON parse failures.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _emit(ctx: click.Context, report: dict):
             rp.dump_json(report, path)
         except OSError as exc:
             _fail(ctx, EXIT_IO, f"cannot write {path}: {exc}")
+        except ValueError as exc:
+            _fail(ctx, EXIT_VALIDATION, f"cannot write {path}: {exc}")
         click.echo(f"report written to {path}")
 
 
@@ -134,7 +137,10 @@ def energy(ctx, material_file, strain):
         [v[5], v[1], v[3]],
         [v[4], v[3], v[2]],
     ])
-    report = rp.energy_report(record, eps)
+    try:
+        report = rp.energy_report(record, eps)
+    except ValueError as exc:
+        _fail(ctx, EXIT_VALIDATION, str(exc))
     e = report["energy"]
     click.echo(f"material: {record.name}  (energy unit: {e['unit']})")
     click.echo(f"total: {e['total']:.9g}")
@@ -191,9 +197,12 @@ def acoustics(ctx, material_file, direction_specs, scan_count, density,
     if not directions and not scan_count and not pure_modes:
         _fail(ctx, EXIT_VALIDATION, "nothing to do: pass --n, --scan or --pure-modes")
 
-    report, rows = rp.acoustics_report(
-        record, rho, directions=directions, scan=scan_count, pure_modes=pure_modes,
-    )
+    try:
+        report, rows = rp.acoustics_report(
+            record, rho, directions=directions, scan=scan_count, pure_modes=pure_modes,
+        )
+    except ValueError as exc:
+        _fail(ctx, EXIT_VALIDATION, str(exc))
 
     click.echo(f"material: {record.name}  density: {rho:.6g} g/cm^3")
     for entry in report["acoustics"].get("directions", []):

@@ -10,6 +10,7 @@ here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -169,7 +170,8 @@ def energy(parts: IrreducibleParts, eps) -> EnergyReport:
       + (1/2) R : u : u`` and non-Cauchy share ``-(A/12) u:u
       + Q[i,j] u[j,k] u[k,i]``.
 
-    The channel sum reproduces the direct quadruple contraction exactly.
+    The channel sum reproduces the direct quadruple contraction exactly.  A
+    result that leaves the float range raises ``ValueError``.
     """
     eps = _sym3(eps)
     tr, u = _trace_split(eps)
@@ -192,7 +194,7 @@ def energy(parts: IrreducibleParts, eps) -> EnergyReport:
         np.einsum("ij,jk,ki->", parts.dev_q, u, u)
     )
 
-    return EnergyReport(
+    result = EnergyReport(
         total=total,
         compression=ec_c + ec_nc,
         compression_cauchy=ec_c,
@@ -204,6 +206,9 @@ def energy(parts: IrreducibleParts, eps) -> EnergyReport:
         shear_cauchy=es_c,
         shear_non_cauchy=es_nc,
     )
+    if not all(map(math.isfinite, result)):
+        raise ValueError("the energy of this strain leaves the float range")
+    return result
 
 
 def lame_from_invariants(parts: IrreducibleParts) -> tuple[float, float]:

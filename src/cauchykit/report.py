@@ -10,7 +10,7 @@ alone; :func:`reconstruct_stiffness` does exactly that, through the same
 on one record share one decomposition: the decomposition, classification and
 energy reports read the record's cached ``parts`` and build every block from
 that one result, so a record is split once however many of them are made.
-The acoustics report decomposes the GPa tensor once for itself.
+The acoustics report decomposes the GPa tensor once; every block reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import acoustics as ac
 from . import constitutive as co
 from . import decomp
 from .materials import MaterialRecord
-from .tensor_core import degenerate_pairs, full_to_voigt, voigt_to_full
+from .tensor_core import degenerate_pairs, full_to_voigt, unit_vector, voigt_to_full
 
 __all__ = [
     "decomposition_report",
@@ -136,9 +136,8 @@ def _json_float(v) -> float | None:
     return None if math.isnan(v) else float(v)
 
 
-def _direction_entries(c_gpa: np.ndarray, parts, dirs: np.ndarray,
-                       rho: float) -> list[dict]:
-    bundle = ac.christoffel(c_gpa, dirs, rho)
+def _direction_entries(parts, dirs: np.ndarray, rho: float) -> list[dict]:
+    bundle = ac._christoffel(parts.split, unit_vector(dirs), rho)
     wave = ac.wave_solve(bundle)
     sums = ac.sum_squared_velocities(parts, dirs, rho)
     residuals = ac.pure_longitudinal_residual(bundle)
@@ -175,8 +174,7 @@ def acoustics_report(
     dirs = np.asarray(() if directions is None else directions, dtype=float)
     if dirs.shape != (0,) and (dirs.ndim != 2 or dirs.shape[1] != 3):
         raise ValueError(f"directions must have shape (N, 3), got {dirs.shape}")
-    c_gpa = record.stiffness_gpa()
-    parts = decomp.decompose(c_gpa)
+    parts = decomp.decompose(record.stiffness_gpa())
     report = {
         "schema_version": SCHEMA_VERSION,
         "material": _material_echo(record),
@@ -188,7 +186,7 @@ def acoustics_report(
     block = report["acoustics"]
 
     if len(dirs):
-        block["directions"] = _direction_entries(c_gpa, parts, dirs, rho_g_cm3)
+        block["directions"] = _direction_entries(parts, dirs, rho_g_cm3)
 
     crit = ac.critical_directions(parts)
     block["critical_directions"] = {
@@ -200,7 +198,7 @@ def acoustics_report(
 
     rows = np.zeros(0, dtype=_SCAN_ROW)
     if scan:
-        rows = scan_rows(c_gpa, rho_g_cm3, scan)
+        rows = _scan_rows(parts.split, ac.fibonacci_sphere(scan), rho_g_cm3)
         block["scan"] = {
             # ints, not numpy integers, which json rejects
             "count": len(rows),
@@ -208,7 +206,8 @@ def acoustics_report(
         }
 
     if pure_modes:
-        result = ac.find_pure_longitudinal(c_gpa, rho_g_cm3)
+        result = ac._pure_longitudinal(parts.split, rho_g_cm3, parts.scalar_s, parts.dev_p,
+                                       parts.harm_r)
         block["pure_longitudinal"] = {
             "all_directions_pure": result.all_directions_pure,
             "seeds": result.seeds,
@@ -237,8 +236,13 @@ def scan_rows(c_gpa: np.ndarray, rho: float, count: int) -> np.ndarray:
     directions from one batched solve: a structured array, one row per
     direction in lattice order, with the fields ``n`` (3,), ``velocities``
     (3,), ``purity_l``, ``degenerate`` and ``causal``."""
-    dirs = ac.fibonacci_sphere(count)
-    wave = ac.wave_solve(ac.christoffel(c_gpa, dirs, rho))
+    dirs, rho = ac.fibonacci_sphere(count), ac.check_density(rho)
+    return _scan_rows(decomp.sa_split(c_gpa), dirs, rho)
+
+
+def _scan_rows(split: decomp.SAParts, dirs: np.ndarray, rho: float) -> np.ndarray:
+    """:func:`scan_rows` on the split of ``c_gpa``, the lattice and a checked ``rho``."""
+    wave = ac.wave_solve(ac._christoffel(split, dirs, rho))
     rows = np.empty(len(dirs), dtype=_SCAN_ROW)
     rows["n"] = dirs
     rows["velocities"] = wave.velocities
@@ -295,7 +299,9 @@ def reconstruct_stiffness(decomposition_block: dict) -> np.ndarray:
 
 
 def dump_json(report: dict, path) -> None:
-    """Serialize a report deterministically (UTF-8, 2-space indent, LF)."""
+    """Serialize a report deterministically (UTF-8, 2-space indent, LF).  The
+    text is built before the file is opened, so a report that JSON cannot
+    hold (``ValueError``) leaves no file."""
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)

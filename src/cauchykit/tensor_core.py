@@ -13,6 +13,8 @@ shared mutable state, so every operation is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -37,6 +39,8 @@ __all__ = [
 IDENTITY3 = np.eye(3)
 SYMMETRY_TOL = 1e-8  # relative Voigt asymmetry that a stiffness input may carry
 DEGENERACY_TOL = 1e-9  # relative gap below which two eigenvalues coincide
+# a finite sum of squares at least this large lost no significant bit to underflow
+SQUARES_MIN = float(np.finfo(float).tiny / np.finfo(float).eps)
 
 # Voigt index -> symmetric index pair, zero-based: 1=11, 2=22, 3=33, 4=23, 5=31, 6=12
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 0), (0, 1))
@@ -179,9 +183,24 @@ def degenerate_pairs(mask) -> tuple[tuple[int, int], ...]:
     return tuple(p for p, hit in zip(EIGEN_PAIRS, mask) if hit)
 
 
+def _root_sum_squares(x: np.ndarray, subscripts: str) -> float:
+    """``sqrt(einsum(subscripts, x, x))``.  Where that sum of squares
+    overflows or falls under :data:`SQUARES_MIN`, ``x`` is first divided by
+    the power of two at its largest entry, so the norm holds at every unit
+    scale; every other input keeps each bit of the plain sum."""
+    total = np.einsum(subscripts, x, x)
+    if not SQUARES_MIN <= total < math.inf:
+        size = float(np.abs(x).max())
+        if 0.0 < size < math.inf:
+            unit = math.ldexp(1.0, math.frexp(size)[1])
+            x = x / unit
+            return unit * float(np.sqrt(np.einsum(subscripts, x, x)))
+    return float(np.sqrt(total))
+
+
 def frobenius_norm4(c: np.ndarray) -> float:
     """Frobenius norm over all 81 components of a rank-4 tensor."""
-    return float(np.sqrt(np.einsum("ijkl,ijkl->", c, c)))
+    return _root_sum_squares(c, "ijkl,ijkl->")
 
 
 def frobenius_inner4(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,7 +209,7 @@ def frobenius_inner4(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frobenius_norm2(a: np.ndarray) -> float:
-    return float(np.sqrt(np.einsum("ij,ij->", a, a)))
+    return _root_sum_squares(a, "ij,ij->")
 
 
 def unit_vector(n) -> np.ndarray:

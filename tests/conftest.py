@@ -213,7 +213,8 @@ def newton_search_oracle(s, rho, seeds, tol):
     count = len(n)
     converged, last_new = np.zeros(count, dtype=bool), -1
     for it in range(acoustics._NEWTON_ITERATIONS):
-        _f, _sc, frame, grad, hess = acoustics._local_model(s, n)
+        _f, _sc, frame, snnn, hess = acoustics._local_model(s, n)
+        grad = np.einsum("nia,ni->na", frame, snnn)
         values, vectors = acoustics._eig2(hess)
         inverse = np.divide(1.0, values, out=np.zeros_like(values),
                             where=np.abs(values) > acoustics._FLAT_TOL * scale)
@@ -232,7 +233,7 @@ def newton_search_oracle(s, rho, seeds, tol):
         elif it - last_new >= acoustics._NEWTON_PATIENCE:
             break
 
-    f, sc, _frame, _grad, hess = acoustics._local_model(s, n)
+    f, sc, _frame, _snnn, hess = acoustics._local_model(s, n)
     residual = purity_oracle(sc, n)
     kept = np.flatnonzero((length <= acoustics._NEWTON_STEP_TOL) & (residual <= tol))
     kept = kept[np.argsort(residual[kept], kind="stable")]

@@ -96,6 +96,12 @@ class TestChristoffel:
         with pytest.raises(ValueError):
             christoffel(ISO, [0.0, 0.0, 2.0], 1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tensor_beyond_the_float_range_rejected(self):
+        # a positive subnormal density passes the density check
+        with pytest.raises(ValueError, match="float range"):
+            christoffel(ISO, EZ, 1e-320)
+
     @pytest.mark.parametrize("n", [EZ, fibonacci_sphere(5)], ids=["one", "batch"])
     def test_direction_is_copied(self, n):
         n = np.array(n, dtype=float)
@@ -546,7 +552,7 @@ class TestPureModeCertificate:
         # the Newton solve samples a family and cannot certify it; the search
         # answers the exactly transversely isotropic s in closed form instead
         base = voigt_to_full(hexagonal_voigt(4.0, 1.4, 1.2, 3.5, 1.0))
-        scan = acoustics._newton_search(sa_split(base).s, 1.0, fibonacci_sphere(100))
+        scan = acoustics._newton_search(sa_split(base), 1.0, fibonacci_sphere(100))
         ring = [h for h in scan.hits if abs(h.direction[2]) < 1e-8]
         assert ring and all(h.kind == "family" for h in ring)
         assert scan.morse["family"] >= len(ring)
@@ -615,7 +621,7 @@ class TestNewtonSolve:
         monkeypatch.setattr(acoustics, "_local_model",
                             lambda s, n: calls.append(len(n)) or model(s, n))
         c = voigt_to_full(random_spd_voigt(np.random.default_rng(0)))
-        scan = acoustics._newton_search(sa_split(c).s, 1.0, fibonacci_sphere(100))
+        scan = acoustics._newton_search(sa_split(c), 1.0, fibonacci_sphere(100))
         assert len(calls) < 39
         assert scan.morse == {"max": 2, "min": 2, "saddle": 3, "family": 0}
         assert scan.certified is True and scan.seeds == 100
@@ -825,7 +831,7 @@ class TestTransverselyIsotropic:
         c = jittered_hexagonal(k)
         scan = find_pure_longitudinal(c, 4.0)
         assert real_eigenvectors(sa_split(c).s) is None
-        newton = acoustics._newton_search(sa_split(c).s, 4.0, fibonacci_sphere(100))
+        newton = acoustics._newton_search(sa_split(c), 4.0, fibonacci_sphere(100))
         assert scan.seeds == 0 and scan.certified is True
         assert scan.axis.tolist() == [0.0, 0.0, 1.0]
         assert scan.hits[0].direction.tobytes() == scan.axis.tobytes()
@@ -897,7 +903,8 @@ class TestTransverselyIsotropic:
             "triclinic": lambda: sa_split(voigt_to_full(
                 random_spd_voigt(np.random.default_rng(3)))).s,
         }.get(case, lambda: sa_split(near_hexagonal(float(case[5:]))).s)()
-        assert acoustics._transversely_isotropic(s, 1.0, *harmonic_split(s)) is None
+        split = sa_split(s)
+        assert acoustics._transversely_isotropic(split, 1.0, *harmonic_split(split.s)) is None
 
 
 def zonal_oracle(e):
@@ -987,7 +994,8 @@ class TestClosedFormShortCuts:
             extra = harmonic_split(sa_split(random_stiffness(np.random.default_rng(2))).s)[2]
         s = s + 1e-10 * frobenius_norm4(s) / frobenius_norm4(extra) * extra
         assert acoustics._ti_quartic(*harmonic_split(s), frobenius_norm4(s)) is None
-        assert acoustics._transversely_isotropic(s, 1.0, *harmonic_split(s)) is None
+        split = sa_split(s)
+        assert acoustics._transversely_isotropic(split, 1.0, *harmonic_split(split.s)) is None
 
     @pytest.mark.parametrize("case, pure", [
         ("iso-1", True), ("iso-1e-9", True), ("iso-1e9", True), ("iso+1e-14", True),
@@ -1051,9 +1059,9 @@ class TestBatchedMerge:
             c = voigt_to_full(random_spd_voigt(np.random.default_rng(7)))
             if case == "tight-tol":
                 monkeypatch.setattr(acoustics, "PURITY_TOL", 1e-20)
-        s = sa_split(c).s
-        scan = acoustics._newton_search(s, rho, fibonacci_sphere(count))
-        oracle = newton_search_oracle(s, rho, count, acoustics.PURITY_TOL)
+        split = sa_split(c)
+        scan = acoustics._newton_search(split, rho, fibonacci_sphere(count))
+        oracle = newton_search_oracle(split.s, rho, count, acoustics.PURITY_TOL)
         assert scan.seeds == oracle.seeds == count
         assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
         if case == "hexagonal":
@@ -1073,10 +1081,10 @@ class TestBatchedMerge:
             rng = np.random.default_rng(26)
             for _ in range(int(case.split("-")[1]) + 1):
                 c = voigt_to_full(random_spd_voigt(rng))
-        s = sa_split(c).s
-        roots = real_eigenvectors(s)
-        scan = acoustics._newton_search(s, rho, roots)
-        oracle = newton_search_oracle(s, rho, roots, acoustics.PURITY_TOL)
+        split = sa_split(c)
+        roots = real_eigenvectors(split.s)
+        scan = acoustics._newton_search(split, rho, roots)
+        oracle = newton_search_oracle(split.s, rho, roots, acoustics.PURITY_TOL)
         assert scan.seeds == oracle.seeds == len(roots)
         assert [hit_record(h) for h in scan.hits] == [hit_record(h) for h in oracle.hits]
         assert [list(map(type, h)) for h in scan.hits] == [list(map(type, h)) for h in oracle.hits]
@@ -1240,7 +1248,7 @@ class TestNonCausalIsNaN:
         assert math.isnan(wave.velocities[2]) and not wave.causal
         # every direction of an isotropic tensor is pure, so the search
         # reports no hits; a solve seeded on z gives the hit there
-        hit, = acoustics._newton_search(sa_split(c).s, 1.0, EZ[None]).hits
+        hit, = acoustics._newton_search(sa_split(c), 1.0, EZ[None]).hits
         assert math.isnan(hit.velocity)
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])  # both shear v^2 = mu along z

@@ -178,6 +178,11 @@ class TestEnergy:
         assert report.mixed == 0.0
         assert report.shear == 0.0
 
+    def test_energy_beyond_the_float_range_rejected(self):
+        # total reads inf and shear NaN (inf - inf) unless rejected
+        with pytest.raises(ValueError, match="float range"):
+            energy(decompose(W), np.diag([1e200, 0.0, 0.0]))
+
     def test_cubic_mixed_energy_vanishes(self, rng):
         eps = random_symmetric3(rng)
         report = energy(decompose(W), eps)

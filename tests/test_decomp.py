@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from cauchykit.decomp import (
     sa_split,
     so3_refine,
 )
+from cauchykit.materials import bundled_material, material_from_dict
+from cauchykit.report import decomposition_report
 from cauchykit.tensor_core import (
     IDENTITY3,
     LEVI_CIVITA,
@@ -38,6 +41,7 @@ from conftest import (
     mn_split,
     q_components_voigt,
     random_rotation,
+    random_spd_voigt,
     random_stiffness,
     random_symmetric3,
     rotate2,
@@ -322,6 +326,29 @@ class TestCauchyFactor:
         assert cauchy_factor(c) == pytest.approx(1.0, abs=1e-15)
         cls = classify(decompose(c))
         assert cls.full_cauchy and cls.a_sign == "zero-within-tol"
+
+
+class TestUnitScale:
+    """The decomposition and its classification hold at every unit scale:
+    each norm behind them is rescaled where its sum of squares would leave
+    the double range."""
+
+    @pytest.mark.parametrize("k", [-300, -200, -160, 155, 200, 300])
+    @pytest.mark.parametrize("name", ["W", "triclinic"])
+    def test_report_at_extreme_unit_scales(self, name, k):
+        # before, 1e155 read A ~ 0 and full Cauchy with a NaN factor, 1e-160
+        # lost 5 significant digits of the factor and 1e-200 raised "zero tensor"
+        voigt = (bundled_material("W").voigt if name == "W"
+                 else random_spd_voigt(np.random.default_rng(5), 100.0))
+        want, got = (decomposition_report(material_from_dict({
+            "schema_version": "1", "name": name,
+            "stiffness": {"unit": "GPa", "voigt": (voigt * scale).tolist()}}))
+            for scale in (1.0, 10.0 ** k))
+        json.dumps(got, allow_nan=False)
+        for key in ("full_cauchy", "partial_cauchy", "a_sign"):
+            assert got["classification"][key] == want["classification"][key]
+        factor = want["classification"]["cauchy_factor"]
+        assert abs(got["classification"]["cauchy_factor"] - factor) <= 4 * np.spacing(factor)
 
 
 class TestClassify:

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from cauchykit.report import (
 from cauchykit.tensor_core import cubic_stiffness, full_to_voigt
 
 from conftest import run_cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 EXPECTED_SIGNS = {
     "alsb": "positive", "inp": "positive", "inas": "positive",
@@ -322,6 +326,12 @@ class TestReports:
             got = decomposition_report(record)["bounds"]["voigt_min_eigenvalue"]
             assert got == float(np.linalg.eigvalsh(record.voigt).min()), key
 
+    def test_dump_json_writes_nothing_it_cannot_hold(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            dump_json({"schema_version": "1", "total": math.inf}, path)
+        assert not path.exists()
+
     def test_reports_are_deterministic(self, tmp_path):
         record = bundled_material("w")
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -550,6 +560,36 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "total: 12" in result.output
         assert "cauchy 10" in result.output
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ["energy", "--strain", "1e200,0,0,0,0,0"],
+        ["acoustics", "--n", "1,0,0", "--density", "1e-320"],
+        ["acoustics", "--pure-modes", "--density", "1e-320"],
+    ], ids=["energy", "christoffel", "pure-modes"])
+    def test_result_beyond_the_float_range_exits_2(self, tmp_path, w_file, args):
+        out = tmp_path / "report.json"
+        result = run_cli(["--json", str(out), args[0], w_file, *args[1:]])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_readme_cli_block_runs(self, tmp_path, w_file):
+        # the shell block under "## CLI", continuation lines joined, with the
+        # bundled W (the block passes --density), a strain and tmp_path files
+        block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines()]
+        substitutes = {"material.json": w_file, "e11,e22,e33,e23,e31,e12": "1e-3,0,0,0,0,2e-4"}
+        outputs = {"report.json", "scan.csv"}
+        assert len(commands) == 6 and all(words[0] == "cauchykit" for words in commands)
+        for words in commands:
+            args = [str(tmp_path / w) if w in outputs else substitutes.get(w, w)
+                    for w in words[1:]]
+            result = run_cli(args)
+            assert result.exit_code == 0, (words, result.output)
+            for name in outputs.intersection(words):
+                (tmp_path / name).unlink()  # raises unless the command wrote it
 
     def test_energy_bad_strain_exits_2(self, tmp_path):
         path = write_material(tmp_path, material_doc())

@@ -2,20 +2,25 @@
 
 A ``MaterialRecord`` caches its decomposition (``record.parts``) and a split
 caches the smallest eigenvalue of its Voigt matrix, so the reports on one
-record, and each CLI command, split the material once.  Records and results
-compare and hash by identity.
+record, and each CLI command, split the material once.  The acoustics report
+decomposes the GPa tensor once, and its Christoffel rows, scan and pure-mode
+search read that one result.  Records and results compare and hash by
+identity.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from cauchykit import decomp
+import cauchykit
+from cauchykit import acoustics, constitutive, decomp, report
 from cauchykit.constitutive import stability_bounds
 from cauchykit.decomp import decompose, sa_split, so3_refine
 from cauchykit.materials import bundled_material
 from cauchykit.report import (
+    acoustics_report,
     classification_report,
     decomposition_report,
     energy_report,
@@ -40,6 +45,24 @@ def split_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def decomposition_calls(monkeypatch):
+    """Count ``sa_split``, ``harmonic_split`` and ``so3_refine`` calls through
+    every module binding of each, by name."""
+    calls = collections.Counter()
+    for name in ("sa_split", "harmonic_split", "so3_refine"):
+        original = getattr(decomp, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (cauchykit, decomp, acoustics, constitutive, report):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestOneSplitPerMaterial:
     def test_reports_on_one_record_split_it_once(self, split_calls, rng):
         record = bundled_material("W")
@@ -58,6 +81,22 @@ class TestOneSplitPerMaterial:
         result = run_cli(["--json", str(out), args[0], w_file, *args[1:]])
         assert result.exit_code == 0, result.output
         assert len(split_calls) == 1
+
+    def test_acoustics_report_decomposes_once(self, decomposition_calls):
+        # the --n rows, the scan and the pure-mode search all read the
+        # report's one decomposition
+        got, rows = acoustics_report(bundled_material("W"), 19.25,
+                                     directions=[[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]],
+                                     scan=200, pure_modes=True)
+        assert len(rows) == 200 and len(got["acoustics"]["pure_longitudinal"]["hits"]) == 13
+        assert decomposition_calls == {"sa_split": 1, "harmonic_split": 1, "so3_refine": 1}
+
+    def test_acoustics_cli_decomposes_once(self, decomposition_calls, w_file, tmp_path):
+        result = run_cli(["--json", str(tmp_path / "report.json"), "acoustics", w_file,
+                          "--density", "19.25", "--n", "1,0,0", "--scan", "200",
+                          "--pure-modes", "--csv", str(tmp_path / "scan.csv")])
+        assert result.exit_code == 0, result.output
+        assert decomposition_calls == {"sa_split": 1, "harmonic_split": 1, "so3_refine": 1}
 
     def test_parts_are_cached_and_read_only(self):
         record = bundled_material("Si")

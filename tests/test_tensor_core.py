@@ -14,6 +14,7 @@ from cauchykit.tensor_core import (
     degenerate_pairs,
     eig_sym3,
     frobenius_inner4,
+    frobenius_norm2,
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
@@ -306,6 +307,14 @@ class TestFrobenius:
         for idx in members:
             c[idx] = 1.0
         assert frobenius_norm4(c) ** 2 == pytest.approx(len(members), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-900, -600, -520, 520, 600, 900])
+    def test_norms_hold_at_every_unit_scale(self, rng, k):
+        # the plain sums of squares under- or overflow at these scales; the
+        # rescaled norms carry the power of two through bit for bit
+        for c in (cubic_stiffness(5.224, 2.044, 1.608), random_stiffness(rng)):
+            assert frobenius_norm4(c * 2.0 ** k) == frobenius_norm4(c) * 2.0 ** k
+            assert frobenius_norm2(c[0, 1] * 2.0 ** k) == frobenius_norm2(c[0, 1]) * 2.0 ** k
 
     def test_sa_parts_orthogonal(self, rng):
         for _ in range(20):
