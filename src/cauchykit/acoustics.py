@@ -265,7 +265,7 @@ def wave_solve(bundle: ChristoffelBundle) -> WaveSolution:
     """Phase velocities and polarizations for one direction or a batch."""
     values, vectors = eig_sym3(bundle.gamma)
     purity = np.abs(np.einsum("...ik,...i->...k", vectors, bundle.direction))
-    degenerate = degenerate_mask(values, np.linalg.norm(bundle.gamma, axis=(-2, -1)))
+    degenerate = degenerate_mask(values, _norm(bundle.gamma, (-2, -1)))
     causal = np.all(values > 0, axis=-1)
     if values.ndim == 1:
         degenerate, causal = degenerate_pairs(degenerate), bool(causal)
@@ -349,10 +349,26 @@ def _purity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _eigen_residual(m: np.ndarray, n: np.ndarray, mn: np.ndarray, nmn: np.ndarray) -> np.ndarray:
     """:func:`_purity` of ``m`` at ``n`` from ``mn = m.n`` and ``nmn = n.m.n``."""
-    residual = mn - nmn[..., None] * n
-    # the sums np.linalg.norm takes, without its dispatch
+    # the quotient is scale-free, so both of its norms take the unit of m
+    unit = _binary_unit(m, (-2, -1))
+    m, residual = m / unit, (mn - nmn[..., None] * n) / unit[..., 0]
     scale = np.sqrt(np.add.reduce(m * m, (-2, -1)))
     return np.sqrt(np.add.reduce(residual * residual, -1)) / np.where(scale == 0.0, 1.0, scale)
+
+
+def _binary_unit(x: np.ndarray, axes) -> np.ndarray:
+    """The power of two at or below the largest entry of each row of ``x``
+    over ``axes`` (kept as size-1 axes; 0.5 for a zero row).  Dividing by it
+    is exact, and the sum of squares of the quotient neither overflows nor
+    underflows, so a norm taken of that keeps each bit of the plain one."""
+    return np.ldexp(0.5, np.frexp(np.abs(x).max(axis=axes, keepdims=True))[1])
+
+
+def _norm(x: np.ndarray, axes) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axes)`` at every unit scale (:func:`_binary_unit`)."""
+    unit = _binary_unit(x, axes)
+    x = x / unit
+    return np.sqrt(np.add.reduce(x * x, axes)) * np.squeeze(unit, axes)
 
 
 def _rayleigh(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -363,6 +379,16 @@ def _rayleigh(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _velocity(v2: np.ndarray) -> np.ndarray:
     """``sqrt(v2)``, and NaN for a non-causal ``v2 <= 0``, never 0."""
     return np.where(v2 > 0, np.sqrt(np.maximum(v2, 0.0)), np.nan)
+
+
+def _hit_velocities(f: np.ndarray, rho: float) -> list[float]:
+    """The :func:`_velocity` of ``f / rho`` for the hits' ``f = s:nnnn``;
+    ``ValueError`` where ``f / rho`` is not finite, as it overflowed or the
+    search did."""
+    v2 = f / rho
+    if not np.isfinite(v2).all():
+        raise ValueError(f"the pure-mode search at density {rho!r} leaves the float range")
+    return _velocity(v2).tolist()
 
 
 def _scalar_or_array(x: np.ndarray):
@@ -429,7 +455,8 @@ def find_pure_longitudinal(
     iterations.  Converged points with purity residual at most ``PURITY_TOL`` are
     kept, labelled by the signs of their tangent-Hessian eigenvalues and
     merged within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
-    identified; the lowest residual wins).
+    identified; the lowest residual wins).  A hit whose ``s:nnnn / rho``
+    leaves the float range raises ``ValueError``.
     """
     grid_n = operator.index(grid_n)
     if grid_n < _NEWTON_SEEDS:
@@ -491,9 +518,9 @@ def _transversely_isotropic(split: SAParts, rho: float, scalar_s: float, dev_p: 
     if residual.max() > PURITY_TOL:
         return None
     hits = tuple(
-        PureModeHit(direction, float(r), float(velocity), i, kind)
+        PureModeHit(direction, float(r), velocity, i, kind)
         for i, (direction, r, velocity, kind) in enumerate(
-            zip(_canonical_direction(n), residual, _velocity(f / rho), kinds)))
+            zip(_canonical_direction(n), residual, _hit_velocities(f, rho), kinds)))
     return PureModeScan(hits=hits, all_directions_pure=False, seeds=0,
                         axis=hits[0].direction.copy())
 
@@ -610,7 +637,7 @@ def _newton_search(split: SAParts, rho: float, seeds: np.ndarray) -> PureModeSca
     winners = winners[np.argsort(kept[winners])]  # seed order
     index = kept[winners]
     hits = tuple(map(PureModeHit, _canonical_direction(n[index]), residual[index].tolist(),
-                     _velocity(f[index] / rho).tolist(), index.tolist(),
+                     _hit_velocities(f[index], rho), index.tolist(),
                      [_KINDS[k] for k in kinds[winners].tolist()]))
     return PureModeScan(hits=hits, all_directions_pure=False, seeds=len(seeds))
 
@@ -657,8 +684,8 @@ def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray:
     """
     n = bundle.direction
     u = np.cross(n, np.einsum("...il,...l->...i", bundle.cauchy, n))
-    norm = np.linalg.norm(u, axis=-1)
-    scale = np.linalg.norm(bundle.cauchy, axis=(-2, -1))
+    norm = _norm(u, -1)
+    scale = _norm(bundle.cauchy, (-2, -1))
     shear = norm > 1e-10 * np.maximum(scale, 1e-300)
     return np.where(shear[..., None], u / np.where(shear, norm, 1.0)[..., None], np.nan)
 

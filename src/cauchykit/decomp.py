@@ -24,12 +24,10 @@ and A sub-tensor assembly, shared with report reconstruction.
 
 Every fixed linear map here (the index permutations of :func:`sa_split`,
 the condensation of ``a`` into ``delta``, its inverse :func:`a_from_delta`
-and the symmetrized product behind ``s2``) is tabulated once, at import, from
-the einsum formula its docstring states: a few index gathers replace the
-general contraction, and each entry sums the same nonzero terms in the same
-order, so results are bitwise those of the formula.  Norms, and the smallest
-eigenvalue of the split tensor's Voigt matrix, are computed once per result
-and cached on it.
+and the symmetrized product behind ``s2``) is computed from the formula its
+docstring or comment states, with results bitwise equal to that formula's
+einsum.  Norms, and the smallest eigenvalue of the split tensor's Voigt
+matrix, are computed once per result and cached on it.
 
 Sign and normalization conventions are fixed once and for all by the
 condensation of ``a`` into ``delta`` that :func:`decompose` performs;
@@ -73,37 +71,12 @@ __all__ = [
 ]
 
 
-def _terms(op: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate the linear map ``x -> op @ x.ravel()`` (``op`` of shape
-    ``(..., rows, cols)``) as ``k`` gathered terms per output entry, in
-    ascending column order: ``out[r] = sum_t x.ravel()[index[t, ..., r]] *
-    coeff[t, ..., r]``.  Each row of ``op`` has at most ``k`` nonzero entries;
-    a shorter row is padded with zero coefficients."""
-    cols = np.argsort(op == 0, axis=-1, kind="stable")[..., :k]
-    coeff = np.take_along_axis(op, cols, axis=-1)
-    return np.moveaxis(cols, -1, 0), np.moveaxis(coeff, -1, 0)
-
-
 _G1 = np.einsum("ij,kl->ijkl", IDENTITY3, IDENTITY3)
 _G2 = np.einsum("ik,jl->ijkl", IDENTITY3, IDENTITY3)
 _G3 = np.einsum("il,jk->ijkl", IDENTITY3, IDENTITY3)
 # s1 and a1 of generator_tensors, per unit S/15 and A/12
 _S1_BASIS = _G1 + _G2 + _G3
 _A1_BASIS = 2.0 * _G1 - _G3 - _G2
-# _condense: the four nonzero eps-eps terms of each delta entry
-_CONDENSE_INDEX, _CONDENSE_SIGN = _terms(
-    np.einsum("mil,njk->mnijkl", LEVI_CIVITA, LEVI_CIVITA).reshape(9, 81), 4)
-# a_from_delta: the one term of each entry of t1 and of t2
-(_AFD_INDEX,), (_AFD_SIGN,) = _terms(np.stack([
-    np.einsum("ikm,jln->ijklmn", LEVI_CIVITA, LEVI_CIVITA),
-    np.einsum("ilm,jkn->ijklmn", LEVI_CIVITA, LEVI_CIVITA),
-]).reshape(2, 81, 9), 1)
-# _sym_pg: the one term of each entry of its six pairings, p[i,j] g[k,l],
-# p[i,k] g[j,l], p[i,l] g[j,k], p[j,k] g[i,l], p[j,l] g[i,k] and p[k,l] g[i,j]
-(_PG_INDEX,), (_PG_COEFF,) = _terms(np.stack([
-    np.einsum(f"{pair[0]}m,{pair[1]}n,{pair[2:]}->ijklmn", IDENTITY3, IDENTITY3, IDENTITY3)
-    for pair in ("ijkl", "ikjl", "iljk", "jkil", "jlik", "klij")
-]).reshape(6, 81, 9), 1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -283,11 +256,7 @@ def sa_split(c: np.ndarray) -> SAParts:
 
 
 def _condense(a: np.ndarray) -> np.ndarray:
-    # einsum("mil,njk,ijkl->mn", eps, eps, a) / 3: the four nonzero terms of
-    # each entry, summed in (i, j, k, l) order; "+ 0.0" turns a -0.0 sum into
-    # the +0.0 that einsum's zero-started accumulation gives
-    t = a.reshape(81)[_CONDENSE_INDEX] * _CONDENSE_SIGN
-    d = ((t[0] + t[1] + t[2] + t[3]) + 0.0).reshape(3, 3) / 3.0
+    d = np.einsum("mil,njk,ijkl->mn", LEVI_CIVITA, LEVI_CIVITA, a) / 3.0
     return 0.5 * (d + d.T)
 
 
@@ -304,19 +273,26 @@ def a_from_delta(d: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 3x3 matrix, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("delta has a non-finite entry")
-    # t1 and t2 have one eps-eps term per entry (a zero coefficient where
-    # none); "+ 0.0" as in _condense
-    t = d.reshape(9)[_AFD_INDEX] * _AFD_SIGN
-    return (0.5 * (t[0] + t[1])).reshape(3, 3, 3, 3) + 0.0
+    # t1[i,j,k,l] is entry ((i, k), (j, l)) of e d e^T, e[(i, k), m] =
+    # eps[i,k,m], and t2 is t1 with k and l swapped; every entry is one signed
+    # entry of d, so the sums are exact, and "+ 0.0" turns a -0.0 into the
+    # +0.0 that einsum's zero-started accumulation gives
+    e = LEVI_CIVITA.reshape(9, 3)
+    t1 = (e @ d @ e.T + 0.0).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    return 0.5 * (t1 + t1.transpose(0, 1, 3, 2))
 
 
 def _sym_pg(p: np.ndarray) -> np.ndarray:
     # six-term symmetrized product of a symmetric 3x3 with the metric, the
-    # sum of einsum("ij,kl->ijkl", p, g) and its five other pairings (see
-    # _PG_INDEX) in that order; "+ 0.0" as in _condense, since einsum's outer
-    # products start from zero too
-    t = p.reshape(9)[_PG_INDEX] * _PG_COEFF
-    return (t[0] + t[1] + t[2] + t[3] + t[4] + t[5]).reshape(3, 3, 3, 3) + 0.0
+    # sum of einsum("ij,kl->ijkl", p, g) and its five other pairings, in this
+    # order: p[i,j] g[k,l], p[i,k] g[j,l], p[i,l] g[j,k], p[j,k] g[i,l],
+    # p[j,l] g[i,k] and p[k,l] g[i,j]; "+ 0.0" as in a_from_delta, since
+    # einsum's outer products start from zero too
+    pg = p[:, :, None, None] * IDENTITY3
+    return np.add.reduce([
+        pg, pg.transpose(0, 2, 1, 3), pg.transpose(0, 2, 3, 1),
+        pg.transpose(2, 0, 1, 3), pg.transpose(2, 0, 3, 1), pg.transpose(2, 3, 0, 1),
+    ]) + 0.0
 
 
 def generator_tensors(scalar_s: float, dev_p: np.ndarray, scalar_a: float,

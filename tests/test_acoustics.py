@@ -422,6 +422,16 @@ class TestPureLongitudinal:
             bundle = christoffel(ISO, random_unit(np.random.default_rng(3)), 1.0)
             assert pure_longitudinal_residual(bundle) <= 1e-14
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("closed_form", [False, True], ids=["newton", "closed-form"])
+    def test_velocity_beyond_the_float_range_rejected(self, closed_form):
+        # a positive subnormal density passes the density check; before, every
+        # hit read v_L = inf
+        c = jittered_hexagonal(0) if closed_form else W
+        assert (find_pure_longitudinal(c, 1.0).axis is not None) is closed_form
+        with pytest.raises(ValueError, match="float range"):
+            find_pure_longitudinal(c, 1e-320)
+
     def test_cubic_tungsten_hit_set(self):
         scan = find_pure_longitudinal(W, 1.0, grid_n=2000)
         assert not scan.all_directions_pure
@@ -1343,6 +1353,92 @@ class TestShearCondition:
             frobenius_norm2(bundle.gamma) * np.linalg.norm(u)
         )
         assert shear_condition_residual(bundle) == pytest.approx(expect, rel=1e-12)
+
+
+def w_at(scale):
+    """A material of bundled W's Voigt numbers times ``scale``, in GPa."""
+    return material_from_dict({
+        "schema_version": "1", "name": "W",
+        "stiffness": {"unit": "GPa", "voigt": (bundled_material("W").voigt * scale).tolist()}})
+
+
+# W's Voigt numbers times a decimal or a binary scale, and a density
+UNIT_SCALES = [(1e155, 19.25), (1e-160, 19.25), (1.0, 1e-300), (2.0 ** 515, 19.25),
+               (2.0 ** -532, 19.25)]
+UNIT_SCALE_IDS = ["1e155", "1e-160", "rho-1e-300", "2^515", "2^-532"]
+
+
+class TestAcousticsUnitScale:
+    """The acoustics report, the shear polarization and the eigen residuals
+    hold at every unit scale: each norm behind them is taken of rows divided
+    by a power of two from their largest entry."""
+
+    DIRS = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale,rho", UNIT_SCALES, ids=UNIT_SCALE_IDS)
+    def test_report_at_extreme_unit_scales(self, scale, rho):
+        # before, 1e155 and density 1e-300 flagged all three pairs degenerate
+        # on every row and read the residual at (0.6, 0.8, 0) as 0.0, and
+        # 1e-160 read it as 7.39e-4 for 8.35e-4
+        (want, want_rows), (got, got_rows) = (
+            acoustics_report(w_at(k), r, directions=self.DIRS, scan=100)
+            for k, r in ((1.0, 19.25), (scale, rho)))
+        json.dumps(got, allow_nan=False)
+        ratio = math.sqrt(scale) * math.sqrt(19.25 / rho)
+        for a, b in zip(want["acoustics"]["directions"], got["acoustics"]["directions"]):
+            assert (b["degenerate_pairs"], b["causal"]) == (a["degenerate_pairs"], a["causal"])
+            np.testing.assert_allclose(b["velocities_km_s"],
+                                       np.array(a["velocities_km_s"]) * ratio, rtol=1e-14)
+            # the scaled Voigt numbers round apart from the unscaled ones, and
+            # the residual is a difference of terms 1e3 times larger
+            assert b["pure_longitudinal_residual"] == pytest.approx(
+                a["pure_longitudinal_residual"], rel=1e-12, abs=0.0)
+        assert np.array_equal(got_rows["degenerate"], want_rows["degenerate"])
+        np.testing.assert_allclose(got_rows["velocities"], want_rows["velocities"] * ratio,
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("scale,rho", UNIT_SCALES, ids=UNIT_SCALE_IDS)
+    def test_shear_polarization_at_extreme_unit_scales(self, scale, rho):
+        # before, 1e155 read NaN rows, and 1e-160 rows of length 1.13 whose
+        # shear condition residual read 0.089 for 0
+        n = np.vstack([self.DIRS, fibonacci_sphere(50)])
+        want, got = (christoffel(w_at(k).stiffness_gpa(), n, r)
+                     for k, r in ((1.0, 19.25), (scale, rho)))
+        u_want, u_got = shear_polarization(want), shear_polarization(got)
+        assert np.isnan(u_got).tolist() == np.isnan(u_want).tolist()
+        shear = ~np.isnan(u_got[:, 0])
+        assert np.abs(np.linalg.norm(u_got[shear], axis=1) - 1.0).max() <= 4 * np.spacing(1.0)
+        # a decimal scale rounds the Voigt numbers apart, and n x (cauchy . n)
+        # cancels near the pure directions
+        assert np.abs(u_got[shear] - u_want[shear]).max() <= 1e-12
+        r_want, r_got = shear_condition_residual(want), shear_condition_residual(got)
+        # the residual is relative to ||gamma|| and a difference of terms that
+        # size, so it holds to an absolute tolerance
+        np.testing.assert_allclose(r_got, r_want, rtol=0.0, atol=1e-14)
+        if math.frexp(scale)[0] == 0.5 and rho == 19.25:  # an exact scaling
+            assert u_got.tobytes() == u_want.tobytes()
+            assert pure_longitudinal_residual(got).tobytes() == \
+                pure_longitudinal_residual(want).tobytes()
+
+    @pytest.mark.parametrize("scale,rho", UNIT_SCALES, ids=UNIT_SCALE_IDS)
+    def test_pure_modes_at_extreme_unit_scales(self, scale, rho):
+        # before, 1e155 overflowed the hits' eigen residuals
+        want, got = (find_pure_longitudinal(w_at(k).stiffness_gpa(), r)
+                     for k, r in ((1.0, 19.25), (scale, rho)))
+        assert [h.kind for h in got.hits] == [h.kind for h in want.hits]
+        ratio = math.sqrt(scale) * math.sqrt(19.25 / rho)
+        np.testing.assert_allclose([h.velocity for h in got.hits],
+                                   [h.velocity * ratio for h in want.hits], rtol=1e-14)
+        np.testing.assert_allclose([h.residual for h in got.hits],
+                                   [h.residual for h in want.hits], rtol=0.0, atol=1e-15)
+
+    def test_norm_keeps_each_bit_of_numpy_norm(self, rng):
+        x = rng.normal(size=(200, 3, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, (200, 1, 1))
+        x[0] = 0.0
+        assert acoustics._norm(x, (-2, -1)).tobytes() == \
+            np.linalg.norm(x, axis=(-2, -1)).tobytes()
+        assert acoustics._norm(x[:, 0], -1).tobytes() == np.linalg.norm(x[:, 0], axis=-1).tobytes()
+        assert acoustics._norm(x[5], (-2, -1)) == np.linalg.norm(x[5], axis=(-2, -1))
 
 
 class TestShearSum:

@@ -490,9 +490,9 @@ class TestRotationEquivariance:
                                atol=1e-10 * scale)
 
 
-# The einsum forms that decomp's index tables were built from.  The tabulated
-# operators sum the same nonzero terms in the same order, so they must agree
-# bit for bit, signed zeros included.
+# The einsum forms of decomp's fixed linear maps.  The operators compute
+# each from its formula, summing the same nonzero terms in the same order, so
+# they must agree bit for bit, signed zeros included.
 
 
 def sa_split_s_oracle(c):
@@ -529,8 +529,8 @@ def signed_zero_stiffness(rng):
 
 
 def operator_inputs(family, rng):
-    # the tables serve any 3^4 array, so the raw families drop the stiffness
-    # symmetries, under which several terms of an entry coincide
+    # the operators serve any 3^4 array, so the raw families drop the
+    # stiffness symmetries, under which several terms of an entry coincide
     if family == "raw":
         return [rng.normal(size=(3, 3, 3, 3)) for _ in range(50)]
     if family == "raw-signed-zeros":
@@ -543,6 +543,12 @@ def operator_inputs(family, rng):
                 isotropic_stiffness(-0.3, 0.7)]
     if family == "signed-zeros":
         return [signed_zero_stiffness(rng) for _ in range(100)]
+    if family == "subnormal":
+        # entries below 2.2e-308, where products lose bits, and multiples of
+        # the least one, where halving a sum rounds to a signed zero
+        return ([random_stiffness(rng) * 1e-312 for _ in range(50)]
+                + [voigt_to_full(np.triu(m) + np.triu(m, 1).T) * 5e-324
+                   for m in rng.integers(-3, 4, size=(50, 6, 6)).astype(float)])
     return [random_stiffness(rng) * float(family) for _ in range(50)]
 
 
@@ -550,11 +556,15 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-FAMILIES = ["1e-9", "1", "1e9", "cubic", "isotropic", "signed-zeros", "raw",
-            "raw-signed-zeros"]
+FAMILIES = ["1e-300", "1e-9", "1", "1e9", "1e300", "subnormal", "cubic",
+            "isotropic", "signed-zeros", "raw", "raw-signed-zeros"]
 
 
 class TestTabulatedOperators:
+    """decomp's fixed linear maps agree bit for bit with their einsum oracles
+    on every family.  The class keeps the name it had when the maps were
+    gathered from import-time tables, so that its test ids stay stable."""
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_sa_split_transposes(self, family, rng):
         for c in operator_inputs(family, rng):

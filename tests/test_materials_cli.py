@@ -562,16 +562,20 @@ class TestCli:
         assert "cauchy 10" in result.output
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("args", [
-        ["energy", "--strain", "1e200,0,0,0,0,0"],
-        ["acoustics", "--n", "1,0,0", "--density", "1e-320"],
-        ["acoustics", "--pure-modes", "--density", "1e-320"],
-    ], ids=["energy", "christoffel", "pure-modes"])
-    def test_result_beyond_the_float_range_exits_2(self, tmp_path, w_file, args):
+    @pytest.mark.parametrize("with_json,args", [
+        (True, ["energy", "--strain", "1e200,0,0,0,0,0"]),
+        (True, ["acoustics", "--n", "1,0,0", "--density", "1e-320"]),
+        (True, ["acoustics", "--pure-modes", "--density", "1e-320"]),
+        (False, ["acoustics", "--pure-modes", "--density", "1e-320"]),
+    ], ids=["energy", "christoffel", "pure-modes", "pure-modes-text"])
+    def test_result_beyond_the_float_range_exits_2(self, tmp_path, w_file, with_json, args):
+        # before, the text-only pure-mode run printed every hit at v_L = inf and exited 0
         out = tmp_path / "report.json"
-        result = run_cli(["--json", str(out), args[0], w_file, *args[1:]])
+        result = run_cli([*(["--json", str(out)] if with_json else []), args[0], w_file,
+                          *args[1:]])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "Traceback" not in result.output
+        assert "inf" not in result.output
         assert not out.exists()
 
     def test_readme_cli_block_runs(self, tmp_path, w_file):
