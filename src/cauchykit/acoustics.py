@@ -50,11 +50,13 @@ from .tensor_eigen import real_eigenvectors
 from .tensor_core import (
     EIGEN_PAIRS,
     IDENTITY3,
+    binary_unit,
     degenerate_mask,
     degenerate_pairs,
     eig_sym3,
     frobenius_norm2,
     frobenius_norm4,
+    norm,
     unit_vector,
 )
 
@@ -265,7 +267,7 @@ def wave_solve(bundle: ChristoffelBundle) -> WaveSolution:
     """Phase velocities and polarizations for one direction or a batch."""
     values, vectors = eig_sym3(bundle.gamma)
     purity = np.abs(np.einsum("...ik,...i->...k", vectors, bundle.direction))
-    degenerate = degenerate_mask(values, _norm(bundle.gamma, (-2, -1)))
+    degenerate = degenerate_mask(values, norm(bundle.gamma, (-2, -1)))
     causal = np.all(values > 0, axis=-1)
     if values.ndim == 1:
         degenerate, causal = degenerate_pairs(degenerate), bool(causal)
@@ -350,25 +352,10 @@ def _purity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _eigen_residual(m: np.ndarray, n: np.ndarray, mn: np.ndarray, nmn: np.ndarray) -> np.ndarray:
     """:func:`_purity` of ``m`` at ``n`` from ``mn = m.n`` and ``nmn = n.m.n``."""
     # the quotient is scale-free, so both of its norms take the unit of m
-    unit = _binary_unit(m, (-2, -1))
+    unit = binary_unit(m, (-2, -1))
     m, residual = m / unit, (mn - nmn[..., None] * n) / unit[..., 0]
     scale = np.sqrt(np.add.reduce(m * m, (-2, -1)))
     return np.sqrt(np.add.reduce(residual * residual, -1)) / np.where(scale == 0.0, 1.0, scale)
-
-
-def _binary_unit(x: np.ndarray, axes) -> np.ndarray:
-    """The power of two at or below the largest entry of each row of ``x``
-    over ``axes`` (kept as size-1 axes; 0.5 for a zero row).  Dividing by it
-    is exact, and the sum of squares of the quotient neither overflows nor
-    underflows, so a norm taken of that keeps each bit of the plain one."""
-    return np.ldexp(0.5, np.frexp(np.abs(x).max(axis=axes, keepdims=True))[1])
-
-
-def _norm(x: np.ndarray, axes) -> np.ndarray:
-    """``np.linalg.norm(x, axis=axes)`` at every unit scale (:func:`_binary_unit`)."""
-    unit = _binary_unit(x, axes)
-    x = x / unit
-    return np.sqrt(np.add.reduce(x * x, axes)) * np.squeeze(unit, axes)
 
 
 def _rayleigh(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -455,8 +442,9 @@ def find_pure_longitudinal(
     iterations.  Converged points with purity residual at most ``PURITY_TOL`` are
     kept, labelled by the signs of their tangent-Hessian eigenvalues and
     merged within 1e-7 rad (0.5 degrees for two ``family`` points; antipodes
-    identified; the lowest residual wins).  A hit whose ``s:nnnn / rho``
-    leaves the float range raises ``ValueError``.
+    identified; the lowest residual wins).  Every step holds at every unit
+    scale of ``c`` and ``rho``; a hit whose ``s:nnnn / rho`` leaves the float
+    range raises ``ValueError``.
     """
     grid_n = operator.index(grid_n)
     if grid_n < _NEWTON_SEEDS:
@@ -495,9 +483,11 @@ def _transversely_isotropic(split: SAParts, rho: float, scalar_s: float, dev_p: 
     where the tangent Hessian of ``f / 4`` across a set is at most
     ``_FAMILY_TOL ||s||``, the flatness of a Newton ``family`` hit
     (``-(beta + 2 gamma) / 2`` on the axis, ``beta / 2`` on the ring, ``-beta
-    (1 - c^2)`` on the cone), or where a hit's residual exceeds ``PURITY_TOL``."""
-    scale = split.s_norm
-    form = _ti_quartic(scalar_s, dev_p, harm_r, scale)
+    (1 - c^2)`` on the cone), or where a hit's residual exceeds ``PURITY_TOL``.
+    The form takes ``S``, ``P``, ``R`` and ``||s||`` over the binary unit of ``||s||``."""
+    unit = binary_unit(split.s_norm)
+    scale = split.s_norm / unit
+    form = _ti_quartic(scalar_s / unit, dev_p / unit, harm_r / unit, scale)
     if form is None:
         return None
     axis, _alpha, beta, gamma = form
@@ -535,8 +525,8 @@ def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: f
     comes from the deviator ``D = b (ee - I/3)`` of ``P``, or of ``R_ijkl
     R_mjkl`` where ``||P|| <= _TI_TOL ||s||``, in closed form, as a LAPACK
     solver would add its code pages to peak memory: ``|b| = sqrt(3/2) ||D||``
-    with the sign of ``tr (D/||D||)^3``, ``e`` the row of ``D + (b/3) I = b ee`` with
-    the largest diagonal entry."""
+    with the sign of ``tr D^3``, ``e`` the row of ``D + (b/3) I = b ee`` with
+    the largest diagonal entry.  Its squares and cubes need ``||s||`` near 1."""
     tol, deviator, size = _TI_TOL * scale, dev_p, frobenius_norm2(dev_p)
     if size <= tol:
         m = harm_r.reshape(3, 27)
@@ -544,8 +534,7 @@ def _ti_quartic(scalar_s: float, dev_p: np.ndarray, harm_r: np.ndarray, scale: f
         size = frobenius_norm2(deviator)
         if size <= tol * scale:
             return None
-    unit = deviator / size  # its cube stays in range at every unit scale
-    b = math.copysign(math.sqrt(1.5) * size, np.vdot(unit @ unit, unit))
+    b = math.copysign(math.sqrt(1.5) * size, np.vdot(deviator @ deviator, deviator))
     rank_one = deviator + (b / 3.0) * IDENTITY3
     axis = rank_one[np.abs(np.diag(rank_one)).argmax()]
     axis = axis / math.sqrt(axis @ axis)
@@ -684,10 +673,10 @@ def shear_polarization(bundle: ChristoffelBundle) -> np.ndarray:
     """
     n = bundle.direction
     u = np.cross(n, np.einsum("...il,...l->...i", bundle.cauchy, n))
-    norm = _norm(u, -1)
-    scale = _norm(bundle.cauchy, (-2, -1))
-    shear = norm > 1e-10 * np.maximum(scale, 1e-300)
-    return np.where(shear[..., None], u / np.where(shear, norm, 1.0)[..., None], np.nan)
+    size = norm(u, -1)
+    scale = norm(bundle.cauchy, (-2, -1))
+    shear = size > 1e-10 * np.maximum(scale, 1e-300)
+    return np.where(shear[..., None], u / np.where(shear, size, 1.0)[..., None], np.nan)
 
 
 def shear_velocity(bundle: ChristoffelBundle, u) -> float:
@@ -701,7 +690,7 @@ def shear_velocity(bundle: ChristoffelBundle, u) -> float:
     u = np.asarray(u, dtype=float).reshape(bundle.direction.shape)
     if not (np.isfinite(u).all() and u.any(axis=-1).all()):
         raise ValueError("polarization vector must be finite and nonzero")
-    u = u / np.abs(u).max(axis=-1, keepdims=True)  # u . u neither overflows nor underflows
+    u = u / binary_unit(u, -1)  # u . u neither overflows nor underflows
     return _scalar_or_array(_velocity(_rayleigh(bundle.gamma, u)))
 
 

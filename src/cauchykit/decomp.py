@@ -47,10 +47,10 @@ import numpy as np
 from .tensor_core import (
     IDENTITY3,
     LEVI_CIVITA,
-    SQUARES_MIN,
     frobenius_norm2,
     frobenius_norm4,
     full_to_voigt,
+    norm,
 )
 
 __all__ = [
@@ -200,9 +200,7 @@ class IrreducibleParts:
         na = self.split.a_norm
         if ns == 0.0 and na == 0.0:
             raise ValueError("Cauchy factor is undefined for the zero tensor")
-        if not SQUARES_MIN <= ns * ns + na * na < math.inf:  # F is scale-free
-            ns, na = ns / max(ns, na), na / max(ns, na)
-        return float(ns / np.sqrt(ns * ns + na * na))
+        return ns / norm((ns, na))
 
 
 class Classification(NamedTuple):

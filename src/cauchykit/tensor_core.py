@@ -7,6 +7,10 @@ symmetry ``c[i,j,k,l] = c[k,l,i,j]``.  The 6x6 Voigt form uses the index map
 with no engineering factors of 2 or 4 anywhere.  Strain and stress only ever
 appear as full symmetric 3x3 arrays, so Voigt strain conventions never arise.
 
+The scale rule lives here alone: :func:`norm` takes every norm of
+stiffness-scaled data, and :func:`binary_unit` is the power of two that it,
+and any product that must stay in the float range, divides by first.
+
 All functions are pure and all returned arrays are fresh; nothing here holds
 shared mutable state, so every operation is safe to call concurrently.
 """
@@ -31,6 +35,8 @@ __all__ = [
     "frobenius_norm4",
     "frobenius_inner4",
     "frobenius_norm2",
+    "binary_unit",
+    "norm",
     "unit_vector",
     "isotropic_stiffness",
     "cubic_stiffness",
@@ -183,24 +189,34 @@ def degenerate_pairs(mask) -> tuple[tuple[int, int], ...]:
     return tuple(p for p, hit in zip(EIGEN_PAIRS, mask) if hit)
 
 
-def _root_sum_squares(x: np.ndarray, subscripts: str) -> float:
-    """``sqrt(einsum(subscripts, x, x))``.  Where that sum of squares
-    overflows or falls under :data:`SQUARES_MIN`, ``x`` is first divided by
-    the power of two at its largest entry, so the norm holds at every unit
-    scale; every other input keeps each bit of the plain sum."""
-    total = np.einsum(subscripts, x, x)
-    if not SQUARES_MIN <= total < math.inf:
-        size = float(np.abs(x).max())
-        if 0.0 < size < math.inf:
-            unit = math.ldexp(1.0, math.frexp(size)[1])
-            x = x / unit
-            return unit * float(np.sqrt(np.einsum(subscripts, x, x)))
-    return float(np.sqrt(total))
+def binary_unit(x, axes=None) -> np.ndarray:
+    """The power of two at or below the largest entry of ``x`` over ``axes``
+    (all of them by default), kept as size-1 axes; 0.5 for a zero row.
+    Dividing by it is exact, and the sum of squares of the quotient neither
+    overflows nor underflows."""
+    return np.ldexp(0.5, np.frexp(np.abs(x).max(axis=axes, keepdims=True))[1])
 
 
-def frobenius_norm4(c: np.ndarray) -> float:
-    """Frobenius norm over all 81 components of a rank-4 tensor."""
-    return _root_sum_squares(c, "ijkl,ijkl->")
+def norm(x, axes=None):
+    """Euclidean norm of ``x`` at every unit scale.
+
+    Over ``axes`` it is ``np.linalg.norm(x, axis=axes)`` of ``x`` divided by
+    its :func:`binary_unit`, times that unit: each bit of numpy's sum.  Over
+    the whole array (the default) it is the float ``sqrt(einsum(x, x))`` of
+    the entries in C order, divided by the unit only where that sum of squares
+    overflows or falls under :data:`SQUARES_MIN`.  Either way, every input
+    whose plain sum stays in range keeps each bit of it."""
+    if axes is not None:
+        unit = binary_unit(x, axes)
+        x = x / unit
+        return np.sqrt(np.add.reduce(x * x, axes)) * np.squeeze(unit, axes)
+    x = np.asarray(x).ravel()
+    total = float(np.einsum("i,i->", x, x))
+    if SQUARES_MIN <= total < math.inf or not x.any():
+        return math.sqrt(total)
+    unit = binary_unit(x)
+    x = x / unit
+    return unit.item() * math.sqrt(np.einsum("i,i->", x, x))
 
 
 def frobenius_inner4(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,8 +224,8 @@ def frobenius_inner4(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ijkl,ijkl->", a, b))
 
 
-def frobenius_norm2(a: np.ndarray) -> float:
-    return _root_sum_squares(a, "ij,ij->")
+# the Frobenius norms of a rank-4 and of a rank-2 tensor
+frobenius_norm4 = frobenius_norm2 = norm
 
 
 def unit_vector(n) -> np.ndarray:

@@ -981,10 +981,13 @@ class TestClosedFormShortCuts:
         np.testing.assert_allclose(coefficients, three_point_fit_oracle(s, axis), rtol=0,
                                    atol=1e-14 * frobenius_norm4(s))
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-160, 1e155, 1e-200, 1e200, 1e-300,
+                                       1e300])
     def test_closed_form_at_extreme_unit_scales(self, scale):
-        # the sign of tr D^3 is read off D / ||D||: the cube of the deviator
-        # itself leaves the double range near 1e+-103
+        # the form is read off S, P and R in the binary unit of ||s||: in the
+        # stiffness unit the cube of the deviator leaves the double range near
+        # 1e+-103, the axis norm and R R^T near 1e+-155, and the cone test near
+        # 1e-200 (this material has a cone)
         c = voigt_to_full(hexagonal_voigt(400.0, 140.0, 120.0, 350.0, 100.0))
         scan, unit = find_pure_longitudinal(c * scale, 3.0), find_pure_longitudinal(c, 3.0)
         assert scan.axis is not None and scan.seeds == 0 and scan.certified is True
@@ -1364,8 +1367,10 @@ def w_at(scale):
 
 # W's Voigt numbers times a decimal or a binary scale, and a density
 UNIT_SCALES = [(1e155, 19.25), (1e-160, 19.25), (1.0, 1e-300), (2.0 ** 515, 19.25),
-               (2.0 ** -532, 19.25)]
-UNIT_SCALE_IDS = ["1e155", "1e-160", "rho-1e-300", "2^515", "2^-532"]
+               (2.0 ** -532, 19.25), (1e200, 19.25), (1e-200, 19.25), (1e300, 19.25),
+               (1e-300, 19.25)]
+UNIT_SCALE_IDS = ["1e155", "1e-160", "rho-1e-300", "2^515", "2^-532", "1e200", "1e-200",
+                  "1e300", "1e-300"]
 
 
 class TestAcousticsUnitScale:
@@ -1422,23 +1427,19 @@ class TestAcousticsUnitScale:
 
     @pytest.mark.parametrize("scale,rho", UNIT_SCALES, ids=UNIT_SCALE_IDS)
     def test_pure_modes_at_extreme_unit_scales(self, scale, rho):
-        # before, 1e155 overflowed the hits' eigen residuals
-        want, got = (find_pure_longitudinal(w_at(k).stiffness_gpa(), r)
-                     for k, r in ((1.0, 19.25), (scale, rho)))
-        assert [h.kind for h in got.hits] == [h.kind for h in want.hits]
-        ratio = math.sqrt(scale) * math.sqrt(19.25 / rho)
-        np.testing.assert_allclose([h.velocity for h in got.hits],
-                                   [h.velocity * ratio for h in want.hits], rtol=1e-14)
-        np.testing.assert_allclose([h.residual for h in got.hits],
-                                   [h.residual for h in want.hits], rtol=0.0, atol=1e-15)
-
-    def test_norm_keeps_each_bit_of_numpy_norm(self, rng):
-        x = rng.normal(size=(200, 3, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, (200, 1, 1))
-        x[0] = 0.0
-        assert acoustics._norm(x, (-2, -1)).tobytes() == \
-            np.linalg.norm(x, axis=(-2, -1)).tobytes()
-        assert acoustics._norm(x[:, 0], -1).tobytes() == np.linalg.norm(x[:, 0], axis=-1).tobytes()
-        assert acoustics._norm(x[5], (-2, -1)) == np.linalg.norm(x[5], axis=(-2, -1))
+        # before, 1e155 overflowed the hits' eigen residuals, and 1e-200 the
+        # triclinic search
+        a = np.random.default_rng(5).normal(size=(6, 6))
+        for voigt in (bundled_material("W").voigt, a @ a.T * 100.0):
+            want, got = (find_pure_longitudinal(voigt_to_full(voigt * k), r)
+                         for k, r in ((1.0, 19.25), (scale, rho)))
+            assert [h.kind for h in got.hits] == [h.kind for h in want.hits]
+            assert (got.seeds, got.certified) == (want.seeds, want.certified)
+            ratio = math.sqrt(scale) * math.sqrt(19.25 / rho)
+            np.testing.assert_allclose([h.velocity for h in got.hits],
+                                       [h.velocity * ratio for h in want.hits], rtol=1e-14)
+            np.testing.assert_allclose([h.residual for h in got.hits],
+                                       [h.residual for h in want.hits], rtol=0.0, atol=1e-15)
 
 
 class TestShearSum:

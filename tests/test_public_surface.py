@@ -114,3 +114,34 @@ def test_runtime_dependencies_are_numpy_and_click():
     runtime = sorted(re.match(r"[\w.-]+", spec)[0] for spec in project["dependencies"])
     assert runtime == ["click", "numpy"]
     assert any(spec.startswith("scipy") for spec in project["optional-dependencies"]["test"])
+
+
+SCALE_RULE = {"frexp", "ldexp", "SQUARES_MIN"}
+
+
+def _scale_rule_names(source: str) -> list[str]:
+    """The names of :data:`SCALE_RULE` a module reads, calls or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return sorted(found & SCALE_RULE)
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(cauchykit.__file__).parent.glob("*.py") if p.name != "tensor_core.py"),
+    ids=lambda p: p.name)
+def test_the_scale_rule_lives_in_tensor_core(path):
+    # tensor_core.binary_unit and tensor_core.norm are its one home
+    assert _scale_rule_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_scale_rule_guard_flags_a_rescue():
+    source = ("import math\nfrom .tensor_core import SQUARES_MIN\n"
+              "unit = math.ldexp(1.0, np.frexp(x)[1])\n")
+    assert _scale_rule_names(source) == ["SQUARES_MIN", "frexp", "ldexp"]
+    assert _scale_rule_names("unit = binary_unit(x)\n") == []

@@ -9,6 +9,7 @@ from cauchykit.tensor_core import (
     LEVI_CIVITA,
     VOIGT_PAIRS,
     SymmetryViolation,
+    binary_unit,
     cubic_stiffness,
     degenerate_mask,
     degenerate_pairs,
@@ -18,6 +19,7 @@ from cauchykit.tensor_core import (
     frobenius_norm4,
     full_to_voigt,
     isotropic_stiffness,
+    norm,
     unit_vector,
     voigt_to_full,
 )
@@ -315,6 +317,24 @@ class TestFrobenius:
         for c in (cubic_stiffness(5.224, 2.044, 1.608), random_stiffness(rng)):
             assert frobenius_norm4(c * 2.0 ** k) == frobenius_norm4(c) * 2.0 ** k
             assert frobenius_norm2(c[0, 1] * 2.0 ** k) == frobenius_norm2(c[0, 1]) * 2.0 ** k
+        rows = random_stiffness(rng).reshape(9, 3, 3)
+        rows[4] = 0.0
+        assert norm(rows * 2.0 ** k, (-2, -1)).tobytes() == \
+            (norm(rows, (-2, -1)) * 2.0 ** k).tobytes()
+
+    def test_norm_keeps_each_bit_of_numpy_norm(self, rng):
+        x = rng.normal(size=(200, 3, 3)) * 10.0 ** rng.uniform(-100.0, 100.0, (200, 1, 1))
+        x[0] = 0.0
+        assert norm(x, (-2, -1)).tobytes() == np.linalg.norm(x, axis=(-2, -1)).tobytes()
+        assert norm(x[:, 0], -1).tobytes() == np.linalg.norm(x[:, 0], axis=-1).tobytes()
+        assert norm(x[5], (-2, -1)) == np.linalg.norm(x[5], axis=(-2, -1))
+
+    @pytest.mark.parametrize("x, unit", [
+        (0.0, 0.5), (5e-324, 5e-324), (-np.finfo(float).max, 2.0 ** 1023), (3.0, 2.0)])
+    def test_binary_unit_at_the_ends_of_the_float_range(self, x, unit):
+        # a power of two: dividing by it is exact, even for a subnormal x
+        assert binary_unit(x) == unit
+        assert binary_unit(np.array([[x, 0.0], [0.0, 0.0]]), -1).tolist() == [[unit], [0.5]]
 
     def test_sa_parts_orthogonal(self, rng):
         for _ in range(20):
